@@ -25,13 +25,12 @@ Example::
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional
+from typing import Optional
 
-from repro.api.spec import FaultPlanSpec, RunSpec, _check_keys
+from repro.api.spec import FaultPlanSpec, RunSpec
 from repro.api.stats import RepeatSpec, SamplingSpec
+from repro.canon import OMIT_IF_NONE, SpecCodec
 from repro.errors import ConfigurationError, FaultInjectionError
 
 __all__ = ["CampaignSpec"]
@@ -41,7 +40,7 @@ CAMPAIGN_REPEAT_METRICS = ("masked", "detected", "sdc")
 
 
 @dataclass(frozen=True)
-class CampaignSpec:
+class CampaignSpec(SpecCodec):
     """One declarative sharded fault-injection campaign.
 
     Attributes:
@@ -76,8 +75,11 @@ class CampaignSpec:
     faults: FaultPlanSpec = field(default_factory=FaultPlanSpec)
     shards: Optional[int] = None
     shard_size: Optional[int] = None
-    sampling: Optional[SamplingSpec] = None
-    repeat: Optional[RepeatSpec] = None
+    # omitted from the JSON form while unset, so legacy (v1) specs keep
+    # their exact historical text and config_hash
+    sampling: Optional[SamplingSpec] = field(default=None,
+                                             metadata=OMIT_IF_NONE)
+    repeat: Optional[RepeatSpec] = field(default=None, metadata=OMIT_IF_NONE)
 
     def __post_init__(self) -> None:
         if not self.run.simulate:
@@ -152,71 +154,3 @@ class CampaignSpec:
     def label(self) -> str:
         """Human-readable identity (the underlying run's label)."""
         return self.run.label
-
-    # ------------------------------------------------------------------
-    # serialisation
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form (nested dicts/lists, JSON-compatible).
-
-        The ``sampling`` / ``repeat`` keys are emitted only when set, so
-        legacy specs keep their exact historical JSON form (and
-        therefore their :attr:`config_hash`).
-        """
-        data: Dict[str, Any] = {
-            "run": self.run.to_dict(),
-            "faults": self.faults.to_dict(),
-            "shards": self.shards,
-            "shard_size": self.shard_size,
-        }
-        if self.sampling is not None:
-            data["sampling"] = self.sampling.to_dict()
-        if self.repeat is not None:
-            data["repeat"] = self.repeat.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CampaignSpec":
-        """Inverse of :meth:`to_dict`; raises on unknown fields."""
-        if not isinstance(data, Mapping):
-            raise ConfigurationError(
-                f"CampaignSpec expects a mapping, got {data!r}"
-            )
-        _check_keys(cls, data)
-        if "run" not in data:
-            raise ConfigurationError("CampaignSpec requires a run")
-        payload = dict(data)
-        payload["run"] = RunSpec.from_dict(payload["run"])
-        if payload.get("faults") is not None:
-            payload["faults"] = FaultPlanSpec.from_dict(payload["faults"])
-        else:
-            payload.pop("faults", None)
-        if payload.get("sampling") is not None:
-            payload["sampling"] = SamplingSpec.from_dict(payload["sampling"])
-        else:
-            payload.pop("sampling", None)
-        if payload.get("repeat") is not None:
-            payload["repeat"] = RepeatSpec.from_dict(payload["repeat"])
-        else:
-            payload.pop("repeat", None)
-        return cls(**payload)
-
-    def to_json(self, *, indent: Optional[int] = None) -> str:
-        """Canonical JSON form (sorted keys, round-trips exactly)."""
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CampaignSpec":
-        """Parse a spec from its JSON form."""
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"invalid CampaignSpec JSON: {exc}"
-            ) from None
-        return cls.from_dict(data)
-
-    @property
-    def config_hash(self) -> str:
-        """Hex digest of the canonical JSON form (provenance key)."""
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()[:16]

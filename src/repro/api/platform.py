@@ -31,13 +31,12 @@ Example::
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.api.spec import GPUSpec, CotsSpec, _check_keys
+from repro.api.spec import GPUSpec, CotsSpec
 from repro.api.stream import StreamSpec
+from repro.canon import Codec, SpecCodec
 from repro.errors import ConfigurationError
 from repro.gpu.cots import COTSDevice, cots_device_preset
 
@@ -78,7 +77,7 @@ DEVICE_PRESETS: Dict[str, Tuple[GPUSpec, str]] = {
 
 
 @dataclass(frozen=True)
-class DeviceSpec:
+class DeviceSpec(Codec):
     """One GPU of the vehicle platform.
 
     Attributes:
@@ -132,37 +131,9 @@ class DeviceSpec:
             return cots_device_preset(DEVICE_PRESETS[self.preset][1])
         return COTSDevice()
 
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form (JSON-compatible)."""
-        return {
-            "name": self.name,
-            "preset": self.preset,
-            "gpu": self.gpu.to_dict() if self.gpu is not None else None,
-            "cots": self.cots.to_dict() if self.cots is not None else None,
-            "capacity": self.capacity,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "DeviceSpec":
-        """Inverse of :meth:`to_dict`; raises on unknown fields."""
-        if not isinstance(data, Mapping):
-            raise ConfigurationError(
-                f"DeviceSpec expects a mapping, got {data!r}"
-            )
-        _check_keys(cls, data)
-        if "name" not in data:
-            raise ConfigurationError("DeviceSpec requires a name")
-        payload = dict(data)
-        if payload.get("gpu") is not None:
-            payload["gpu"] = GPUSpec.from_dict(payload["gpu"])
-        if payload.get("cots") is not None:
-            payload["cots"] = CotsSpec.from_dict(payload["cots"])
-        return cls(**payload)
-
 
 @dataclass(frozen=True)
-class PlacementSpec:
+class PlacementSpec(Codec):
     """How task streams are bound to devices.
 
     Attributes:
@@ -205,32 +176,23 @@ class PlacementSpec:
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """Plain-data form (JSON-compatible; pins as a sorted mapping)."""
-        return {
-            "policy": self.policy,
-            "pins": {task: device for task, device in self.pins},
-        }
+        return {"policy": self.policy, "pins": dict(self.pins)}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "PlacementSpec":
-        """Inverse of :meth:`to_dict`; raises on unknown fields."""
-        if not isinstance(data, Mapping):
-            raise ConfigurationError(
-                f"PlacementSpec expects a mapping, got {data!r}"
-            )
-        _check_keys(cls, data)
-        payload = dict(data)
-        pins = payload.get("pins") or ()
+        """Inverse of :meth:`to_dict`; pins may also be a list of pairs.
+
+        Raises:
+            ConfigurationError: for unknown fields or malformed pins.
+        """
+        pins = data.get("pins") if isinstance(data, Mapping) else None
         if isinstance(pins, Mapping):
-            payload["pins"] = tuple(sorted(pins.items()))
-        else:
-            payload["pins"] = tuple(
-                (pair[0], pair[1]) for pair in pins
-            )
-        return cls(**payload)
+            data = {**data, "pins": sorted(pins.items())}
+        return super().from_dict(data)
 
 
 @dataclass(frozen=True)
-class PlatformSpec:
+class PlatformSpec(SpecCodec):
     """One declarative multi-device vehicle platform.
 
     Attributes:
@@ -301,61 +263,3 @@ class PlatformSpec:
             f"unknown device {name!r}; "
             f"known: {', '.join(d.name for d in self.devices)}"
         )
-
-    # ------------------------------------------------------------------
-    # serialisation
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form (nested dicts/lists, JSON-compatible)."""
-        return {
-            "devices": [d.to_dict() for d in self.devices],
-            "tasks": [t.to_dict() for t in self.tasks],
-            "placement": self.placement.to_dict(),
-            "tag": self.tag,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PlatformSpec":
-        """Inverse of :meth:`to_dict`; raises on unknown fields."""
-        if not isinstance(data, Mapping):
-            raise ConfigurationError(
-                f"PlatformSpec expects a mapping, got {data!r}"
-            )
-        _check_keys(cls, data)
-        for key in ("devices", "tasks"):
-            if key not in data:
-                raise ConfigurationError(f"PlatformSpec requires {key}")
-        payload = dict(data)
-        payload["devices"] = tuple(
-            DeviceSpec.from_dict(d) for d in payload["devices"] or ()
-        )
-        payload["tasks"] = tuple(
-            StreamSpec.from_dict(t) for t in payload["tasks"] or ()
-        )
-        if payload.get("placement") is not None:
-            payload["placement"] = PlacementSpec.from_dict(
-                payload["placement"]
-            )
-        else:
-            payload.pop("placement", None)
-        return cls(**payload)
-
-    def to_json(self, *, indent: Optional[int] = None) -> str:
-        """Canonical JSON form (sorted keys, round-trips exactly)."""
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PlatformSpec":
-        """Parse a spec from its JSON form."""
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"invalid PlatformSpec JSON: {exc}"
-            ) from None
-        return cls.from_dict(data)
-
-    @property
-    def config_hash(self) -> str:
-        """Hex digest of the canonical JSON form (provenance key)."""
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()[:16]

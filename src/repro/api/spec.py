@@ -19,11 +19,10 @@ produced them.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, field, fields, replace
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Dict, Optional, Tuple
 
+from repro.canon import Codec, SpecCodec, from_attributes
 from repro.errors import ConfigurationError
 from repro.faults.campaign import CampaignConfig
 from repro.gpu.config import GPUConfig, SMConfig
@@ -66,35 +65,10 @@ SYNTHETIC_KERNELS: Dict[str, Callable[[GPUConfig], KernelDescriptor]] = {
 
 
 # ----------------------------------------------------------------------
-# generic (de)serialisation helpers
-# ----------------------------------------------------------------------
-def _check_keys(cls: type, data: Mapping[str, Any]) -> None:
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ConfigurationError(
-            f"{cls.__name__}: unknown field(s) {', '.join(unknown)}; "
-            f"known: {', '.join(sorted(known))}"
-        )
-
-
-def _flat_from_dict(cls, data: Mapping[str, Any]):
-    """Build a flat (non-nested) spec dataclass from a mapping."""
-    if not isinstance(data, Mapping):
-        raise ConfigurationError(f"{cls.__name__} expects a mapping, got {data!r}")
-    _check_keys(cls, data)
-    return cls(**data)
-
-
-def _flat_to_dict(obj) -> Dict[str, Any]:
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
-
-
-# ----------------------------------------------------------------------
 # GPU
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class SMSpec:
+class SMSpec(Codec):
     """JSON-able mirror of :class:`repro.gpu.config.SMConfig`."""
 
     max_threads: int = 1536
@@ -105,27 +79,12 @@ class SMSpec:
 
     def to_config(self) -> SMConfig:
         """Materialise the :class:`SMConfig` (validates values)."""
-        return SMConfig(**_flat_to_dict(self))
+        return SMConfig(**self.to_dict())
 
     @classmethod
     def from_config(cls, sm: SMConfig) -> "SMSpec":
         """Mirror an existing :class:`SMConfig`."""
-        return cls(
-            max_threads=sm.max_threads,
-            max_blocks=sm.max_blocks,
-            registers=sm.registers,
-            shared_memory=sm.shared_memory,
-            issue_throughput=sm.issue_throughput,
-        )
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SMSpec":
-        """Build the spec from a mapping; raises on unknown fields."""
-        return _flat_from_dict(cls, data)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form (JSON-compatible)."""
-        return _flat_to_dict(self)
+        return from_attributes(cls, sm)
 
 
 _GPU_PRESETS: Dict[str, Callable[..., GPUConfig]] = {
@@ -136,7 +95,7 @@ _GPU_PRESETS: Dict[str, Callable[..., GPUConfig]] = {
 
 
 @dataclass(frozen=True)
-class GPUSpec:
+class GPUSpec(Codec):
     """GPU selection: a preset plus optional overrides, or a full config.
 
     Attributes:
@@ -191,41 +150,15 @@ class GPUSpec:
     @classmethod
     def from_config(cls, gpu: GPUConfig) -> "GPUSpec":
         """Mirror an arbitrary :class:`GPUConfig` exactly (no preset)."""
-        return cls(
-            preset=None,
-            name=gpu.name,
-            num_sms=gpu.num_sms,
-            clock_mhz=gpu.clock_mhz,
-            dram_bandwidth=gpu.dram_bandwidth,
-            dispatch_latency=gpu.dispatch_latency,
-            allow_kernel_mixing=gpu.allow_kernel_mixing,
-            sm=SMSpec.from_config(gpu.sm),
-        )
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form (JSON-compatible, nested ``sm``)."""
-        data = _flat_to_dict(self)
-        data["sm"] = self.sm.to_dict() if self.sm is not None else None
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "GPUSpec":
-        """Build the spec from a mapping; raises on unknown fields."""
-        if not isinstance(data, Mapping):
-            raise ConfigurationError(f"GPUSpec expects a mapping, got {data!r}")
-        _check_keys(cls, data)
-        payload = dict(data)
-        if payload.get("sm") is not None:
-            payload["sm"] = SMSpec.from_dict(payload["sm"])
-        return cls(**payload)
+        return from_attributes(cls, gpu, preset=None,
+                               sm=SMSpec.from_config(gpu.sm))
 
 
 # ----------------------------------------------------------------------
 # workload
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class KernelSpec:
+class KernelSpec(Codec):
     """JSON-able mirror of :class:`repro.gpu.kernel.KernelDescriptor`."""
 
     name: str
@@ -240,35 +173,16 @@ class KernelSpec:
 
     def to_descriptor(self) -> KernelDescriptor:
         """Materialise the :class:`KernelDescriptor` (validates values)."""
-        return KernelDescriptor(**_flat_to_dict(self))
+        return KernelDescriptor(**self.to_dict())
 
     @classmethod
     def from_descriptor(cls, kd: KernelDescriptor) -> "KernelSpec":
         """Mirror an existing descriptor."""
-        return cls(
-            name=kd.name,
-            grid_blocks=kd.grid_blocks,
-            threads_per_block=kd.threads_per_block,
-            regs_per_thread=kd.regs_per_thread,
-            shared_mem_per_block=kd.shared_mem_per_block,
-            work_per_block=kd.work_per_block,
-            bytes_per_block=kd.bytes_per_block,
-            output_bytes=kd.output_bytes,
-            input_bytes=kd.input_bytes,
-        )
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "KernelSpec":
-        """Build the spec from a mapping; raises on unknown fields."""
-        return _flat_from_dict(cls, data)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form (JSON-compatible)."""
-        return _flat_to_dict(self)
+        return from_attributes(cls, kd)
 
 
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(Codec):
     """The kernel chain a run executes — exactly one source must be set.
 
     Attributes:
@@ -329,36 +243,12 @@ class WorkloadSpec:
             f"{len(self.kernels)}-kernel chain"
         )
 
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form (JSON-compatible, nested ``kernels``)."""
-        return {
-            "benchmark": self.benchmark,
-            "synthetic": self.synthetic,
-            "kernels": [k.to_dict() for k in self.kernels],
-            "repeat": self.repeat,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "WorkloadSpec":
-        """Build the spec from a mapping; raises on unknown fields."""
-        if not isinstance(data, Mapping):
-            raise ConfigurationError(
-                f"WorkloadSpec expects a mapping, got {data!r}"
-            )
-        _check_keys(cls, data)
-        payload = dict(data)
-        payload["kernels"] = tuple(
-            KernelSpec.from_dict(k) for k in payload.get("kernels") or ()
-        )
-        return cls(**payload)
-
 
 # ----------------------------------------------------------------------
 # fault plan / COTS model
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class FaultPlanSpec:
+class FaultPlanSpec(Codec):
     """JSON-able mirror of :class:`repro.faults.campaign.CampaignConfig`."""
 
     transient_ccf: int = 200
@@ -369,7 +259,7 @@ class FaultPlanSpec:
 
     def to_config(self, seed: Optional[int] = None) -> CampaignConfig:
         """Materialise the campaign config, optionally overriding the seed."""
-        data = _flat_to_dict(self)
+        data = self.to_dict()
         if seed is not None:
             data["seed"] = seed
         return CampaignConfig(**data)
@@ -377,26 +267,11 @@ class FaultPlanSpec:
     @classmethod
     def from_config(cls, config: CampaignConfig) -> "FaultPlanSpec":
         """Mirror an existing :class:`CampaignConfig`."""
-        return cls(
-            transient_ccf=config.transient_ccf,
-            permanent_sm=config.permanent_sm,
-            seu=config.seu,
-            seed=config.seed,
-            phase_quantum=config.phase_quantum,
-        )
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultPlanSpec":
-        """Build the spec from a mapping; raises on unknown fields."""
-        return _flat_from_dict(cls, data)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form (JSON-compatible)."""
-        return _flat_to_dict(self)
+        return from_attributes(cls, config)
 
 
 @dataclass(frozen=True)
-class CotsSpec:
+class CotsSpec(Codec):
     """JSON-able mirror of :class:`repro.gpu.cots.COTSDevice`.
 
     When present on a :class:`RunSpec` whose workload is a suite benchmark,
@@ -414,36 +289,19 @@ class CotsSpec:
 
     def to_device(self) -> COTSDevice:
         """Materialise the :class:`COTSDevice` (validates values)."""
-        return COTSDevice(**_flat_to_dict(self))
+        return COTSDevice(**self.to_dict())
 
     @classmethod
     def from_device(cls, device: COTSDevice) -> "CotsSpec":
         """Mirror an existing device."""
-        return cls(
-            h2d_gbps=device.h2d_gbps,
-            d2h_gbps=device.d2h_gbps,
-            launch_overhead_ms=device.launch_overhead_ms,
-            alloc_ms=device.alloc_ms,
-            free_ms=device.free_ms,
-            compare_gbps=device.compare_gbps,
-            sync_overhead_ms=device.sync_overhead_ms,
-        )
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CotsSpec":
-        """Build the spec from a mapping; raises on unknown fields."""
-        return _flat_from_dict(cls, data)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form (JSON-compatible)."""
-        return _flat_to_dict(self)
+        return from_attributes(cls, device)
 
 
 # ----------------------------------------------------------------------
 # the run spec
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class RunSpec:
+class RunSpec(SpecCodec):
     """One declarative run of the reproduction's models.
 
     Attributes:
@@ -525,62 +383,3 @@ class RunSpec:
     def label(self) -> str:
         """Human-readable identity used in tables (tag or workload)."""
         return self.tag or self.workload.label
-
-    # ------------------------------------------------------------------
-    # serialisation
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form (nested dicts/lists, JSON-compatible)."""
-        return {
-            "workload": self.workload.to_dict(),
-            "gpu": self.gpu.to_dict(),
-            "policy": self.policy,
-            "redundancy": self.redundancy,
-            "copies": self.copies,
-            "simulate": self.simulate,
-            "baseline": self.baseline,
-            "classify": self.classify,
-            "cots": self.cots.to_dict() if self.cots is not None else None,
-            "faults": self.faults.to_dict() if self.faults is not None else None,
-            "phase_tolerance": self.phase_tolerance,
-            "seed": self.seed,
-            "tag": self.tag,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RunSpec":
-        """Inverse of :meth:`to_dict`; raises on unknown fields."""
-        if not isinstance(data, Mapping):
-            raise ConfigurationError(f"RunSpec expects a mapping, got {data!r}")
-        _check_keys(cls, data)
-        if "workload" not in data:
-            raise ConfigurationError("RunSpec requires a workload")
-        payload = dict(data)
-        payload["workload"] = WorkloadSpec.from_dict(payload["workload"])
-        if payload.get("gpu") is not None:
-            payload["gpu"] = GPUSpec.from_dict(payload["gpu"])
-        else:
-            payload.pop("gpu", None)
-        if payload.get("cots") is not None:
-            payload["cots"] = CotsSpec.from_dict(payload["cots"])
-        if payload.get("faults") is not None:
-            payload["faults"] = FaultPlanSpec.from_dict(payload["faults"])
-        return cls(**payload)
-
-    def to_json(self, *, indent: Optional[int] = None) -> str:
-        """Canonical JSON form (sorted keys, round-trips exactly)."""
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunSpec":
-        """Parse a spec from its JSON form."""
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"invalid RunSpec JSON: {exc}") from None
-        return cls.from_dict(data)
-
-    @property
-    def config_hash(self) -> str:
-        """Hex digest of the canonical JSON form (provenance key)."""
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()[:16]

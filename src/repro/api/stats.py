@@ -22,9 +22,9 @@ JSON-round-trippable, like every spec in :mod:`repro.api`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional
+from typing import Optional
 
-from repro.api.spec import _flat_from_dict, _flat_to_dict
+from repro.canon import Codec
 from repro.errors import ConfigurationError
 from repro.faults.campaign import SamplingConfig
 
@@ -38,7 +38,7 @@ INTERVAL_METHODS = ("auto", "wilson", "normal", "bootstrap")
 
 
 @dataclass(frozen=True)
-class SamplingSpec:
+class SamplingSpec(Codec):
     """Fault-space sampling design (the v2, prefix-stable layouts).
 
     The three integer fields are *relative allocation weights* over the
@@ -93,18 +93,9 @@ class SamplingSpec:
             seu=self.seu,
         )
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SamplingSpec":
-        """Build the spec from a mapping; raises on unknown fields."""
-        return _flat_from_dict(cls, data)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form (JSON-compatible)."""
-        return _flat_to_dict(self)
-
 
 @dataclass(frozen=True)
-class RepeatSpec:
+class RepeatSpec(Codec):
     """Repeat-until-confidence stopping rule.
 
     Attributes:
@@ -162,13 +153,3 @@ class RepeatSpec:
                 f"unknown interval method {self.interval!r}; "
                 f"known: {', '.join(INTERVAL_METHODS)}"
             )
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RepeatSpec":
-        """Build the spec from a mapping; raises on unknown fields."""
-        return _flat_from_dict(cls, data)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form (JSON-compatible)."""
-        return _flat_to_dict(self)

@@ -19,14 +19,13 @@ counts into a safety argument.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Mapping, Tuple, Union
 
 from repro.api.campaign import CampaignSpec
+from repro import canon
 from repro.errors import CampaignError, ConfigurationError
 from repro.faults.outcomes import FaultOutcome
 
@@ -40,11 +39,6 @@ OUTCOMES_BY_KEY: Dict[str, FaultOutcome] = {v: k for k, v in OUTCOME_KEYS.items(
 _MANIFEST_NAME = "campaign.json"
 _SHARDS_NAME = "shards.jsonl"
 _SCHEMA = "campaign-store/v1"
-
-
-def _canonical(payload: Mapping[str, Any]) -> str:
-    """Canonical JSON text (sorted keys, no whitespace variance)."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -98,15 +92,13 @@ class ShardRecord:
     @property
     def digest(self) -> str:
         """SHA-256 hex digest of the canonical payload."""
-        return hashlib.sha256(
-            _canonical(self.payload()).encode("utf-8")
-        ).hexdigest()[:16]
+        return canon.digest16(canon.canonical_line(self.payload()))
 
     def to_line(self) -> str:
         """One JSONL line: the payload plus its digest."""
         payload = self.payload()
         payload["digest"] = self.digest
-        return _canonical(payload)
+        return canon.canonical_line(payload)
 
     @classmethod
     def from_payload(cls, data: Mapping[str, Any]) -> "ShardRecord":
@@ -207,9 +199,10 @@ class CampaignStore:
             "total_injections": spec.total_injections,
             "version": __version__,
         }
-        self.manifest_path.write_text(
-            json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-        )
+        # tmp + fsync + rename: a crash mid-write leaves no manifest (the
+        # next initialise starts over), never a torn one
+        canon.atomic_write_text(
+            self.manifest_path, canon.canonical_json(manifest, indent=2) + "\n")
 
     def load_spec(self) -> CampaignSpec:
         """The :class:`CampaignSpec` this store was created for.
@@ -242,10 +235,7 @@ class CampaignStore:
     # ------------------------------------------------------------------
     def append(self, record: ShardRecord) -> None:
         """Persist one completed shard (flushed and fsynced)."""
-        with open(self.shards_path, "a", encoding="utf-8") as handle:
-            handle.write(record.to_line() + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        canon.append_line(self.shards_path, record.to_line())
 
     def load_records(self) -> Dict[int, ShardRecord]:
         """All completed shards, keyed by shard index.
@@ -260,28 +250,18 @@ class CampaignStore:
                 duplicate shards with differing payloads.
         """
         try:
-            text = self.shards_path.read_text(encoding="utf-8")
+            rows, bad = canon.read_jsonl(self.shards_path)
         except OSError:
             return {}
-        records: Dict[int, ShardRecord] = {}
-        lines = text.split("\n")
-        last_content = len(lines) - 1
-        while last_content >= 0 and not lines[last_content].strip():
-            last_content -= 1
-        for lineno, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError:
-                if lineno == last_content:
-                    # torn final line: the writer died mid-append
-                    continue
+        tolerated = canon.torn_tail(rows, bad)  # writer died mid-append
+        for lineno in bad:
+            if lineno != tolerated:
                 raise CampaignError(
-                    f"{self.shards_path}:{lineno + 1}: corrupt shard line "
+                    f"{self.shards_path}:{lineno}: corrupt shard line "
                     "(not valid JSON) in the middle of the artifact log"
-                ) from None
+                )
+        records: Dict[int, ShardRecord] = {}
+        for _, data in rows:
             record = ShardRecord.from_payload(data)
             previous = records.get(record.shard)
             if previous is not None and previous.to_line() != record.to_line():

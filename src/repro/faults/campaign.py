@@ -18,11 +18,11 @@ SRRS and HALF do not.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.canon import canonical_json, digest16
 from repro.errors import FaultInjectionError, SafetyViolation, StatsError
 from repro.faults.injector import CorruptionMap, apply_fault
 from repro.faults.outcomes import FaultOutcome, InjectionResult, classify_outcome
@@ -773,8 +773,7 @@ class CampaignReport:
 
     def digest(self) -> str:
         """Hex digest of the canonical form (aggregate provenance key)."""
-        text = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+        return digest16(canonical_json(self.to_dict()))
 
 
 class FaultCampaign:

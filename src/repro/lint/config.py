@@ -69,13 +69,15 @@ class RuleScope:
 # Modules whose content folds into a canonical digest or report: the
 # unordered-iteration rule only fires here (ISSUE 6 scoping).  The
 # statistics layer qualifies because its weighted rates embed in the
-# v2 campaign report payloads.
+# v2 campaign report payloads; repro.canon because every config hash
+# and report digest is computed there.
 _DIGEST_MODULES: Tuple[str, ...] = (
     "*/report.py",
     "*/faults/campaign.py",
     "*/streams/arrivals.py",
     "*/stats/*.py",
     "*/api/*.py",
+    "*/repro/canon.py",
 )
 
 # The telemetry plane (repro.obs) is the repository's only wall-clock

@@ -346,11 +346,15 @@ class SpecContractRule(Rule):
     Scoped (via config) to ``repro.api``.  Specs are hashed into
     ``config_hash`` provenance and shipped across process boundaries;
     a mutable spec or one without a ``to_dict``/``from_dict`` pair
-    silently breaks both.
+    silently breaks both.  Inheriting a :mod:`repro.canon` codec base
+    (:data:`CODEC_BASES`) supplies the pair; frozen is still required.
     """
 
     id = "RL004"
     title = "Spec dataclass contract"
+
+    #: Base-class names whose subclasses inherit ``to_dict``/``from_dict``.
+    CODEC_BASES: FrozenSet[str] = frozenset({"Codec", "SpecCodec"})
 
     def check(self, ctx: FileContext) -> List[Violation]:
         """Flag ``*Spec`` classes missing frozen=True or the dict pair."""
@@ -366,6 +370,10 @@ class SpecContractRule(Rule):
                     f"{node.name} must be a @dataclass(frozen=True) — "
                     "specs are hashed provenance and must be immutable",
                 ))
+            bases = {getattr(base, "id", getattr(base, "attr", None))
+                     for base in node.bases}  # Name.id / dotted Attribute.attr
+            if bases & self.CODEC_BASES:
+                continue
             methods = {child.name for child in node.body
                        if isinstance(child, (ast.FunctionDef,
                                              ast.AsyncFunctionDef))}

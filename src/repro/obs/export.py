@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from typing import Any, Dict, List, Tuple
 
+from repro.canon import canonical_json
 from repro.obs.report import _fold_tree, build_spans
 
 __all__ = [
@@ -121,7 +121,7 @@ def to_chrome_trace(events: List[Dict[str, Any]]) -> Dict[str, Any]:
 
 def render_chrome_trace(events: List[Dict[str, Any]]) -> str:
     """The :func:`to_chrome_trace` payload as a JSON string."""
-    return json.dumps(to_chrome_trace(events), sort_keys=True)
+    return canonical_json(to_chrome_trace(events))
 
 
 def to_folded(events: List[Dict[str, Any]]) -> str:

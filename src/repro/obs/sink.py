@@ -27,10 +27,10 @@ fresh session); corruption anywhere else raises
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Dict, List, Tuple, Union
 
+from repro.canon import canonical_line, read_jsonl, torn_tail
 from repro.errors import ObsError
 
 __all__ = [
@@ -135,10 +135,7 @@ class JsonlSink(TelemetrySink):
         if self._closed:
             return
         try:
-            self._handle.write(
-                json.dumps(event, sort_keys=True, separators=(",", ":"))
-                + "\n"
-            )
+            self._handle.write(canonical_line(event) + "\n")
             self._handle.flush()
         except OSError as exc:
             raise ObsError(
@@ -153,16 +150,6 @@ class JsonlSink(TelemetrySink):
                 self._handle.close()
             except OSError:
                 pass
-
-
-def _is_session_header(line: str) -> bool:
-    """True when ``line`` parses as a ``telemetry_start`` event."""
-    try:
-        payload = json.loads(line)
-    except json.JSONDecodeError:
-        return False
-    return (isinstance(payload, dict)
-            and payload.get("type") == "telemetry_start")
 
 
 def scan_telemetry(path: Union[str, Path]
@@ -192,37 +179,30 @@ def scan_telemetry(path: Union[str, Path]
             the middle of a session.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        rows, bad = read_jsonl(path)
     except OSError as exc:
         raise ObsError(f"cannot read telemetry file {str(path)!r}: {exc}")
-    lines = text.split("\n")
-    content = [
-        (lineno, line.strip())
-        for lineno, line in enumerate(lines, start=1)
-        if line.strip()
-    ]
-    events: List[Dict[str, Any]] = []
     tears: List[Dict[str, Any]] = []
-    for position, (lineno, line) in enumerate(content):
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError:
-            is_last = position == len(content) - 1
-            next_is_header = (
-                not is_last and _is_session_header(content[position + 1][1])
-            )
-            if is_last or next_is_header:
-                # torn line where a writer died (end of file, or end of
-                # the session a resume later appended after)
-                tears.append({
-                    "line": lineno,
-                    "tear": "file" if is_last else "session",
-                })
-                continue
-            raise ObsError(
-                f"{path}:{lineno}: corrupt telemetry line (not valid "
-                "JSON) in the middle of a session"
-            ) from None
+    if bad:
+        headers = {lineno for lineno, payload in rows
+                   if isinstance(payload, dict)
+                   and payload.get("type") == "telemetry_start"}
+        content = sorted([lineno for lineno, _ in rows] + bad)
+        following = dict(zip(content, content[1:]))
+        tail = torn_tail(rows, bad)
+        for lineno in bad:
+            if lineno == tail:
+                tears.append({"line": lineno, "tear": "file"})
+            elif following[lineno] in headers:
+                # the writer died, then a resume appended a new session
+                tears.append({"line": lineno, "tear": "session"})
+            else:
+                raise ObsError(
+                    f"{path}:{lineno}: corrupt telemetry line (not valid "
+                    "JSON) in the middle of a session"
+                )
+    events: List[Dict[str, Any]] = []
+    for lineno, payload in rows:
         if not isinstance(payload, dict):
             raise ObsError(
                 f"{path}:{lineno}: telemetry line is not a JSON object"

@@ -26,12 +26,10 @@ file paths).
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from pathlib import Path
 from typing import Any, Dict, List, Tuple, Union
 
+from repro import canon
 from repro.errors import ObsError
 from repro.obs.events import check_events
 from repro.obs.sink import read_telemetry
@@ -43,11 +41,6 @@ OBS_STORE_SCHEMA = "repro-obs-store/v1"
 
 #: Default archive directory (the ``--dir`` default of the obs CLI).
 DEFAULT_OBS_DIR = ".repro-obs"
-
-
-def _canonical(payload: Dict[str, Any]) -> str:
-    """Compact sorted-key JSON, the repository's canonical line form."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def _index_fields(events: List[Dict[str, Any]]) -> Dict[str, Any]:
@@ -148,7 +141,7 @@ class ObsStore:
             )
         events = read_telemetry(source)
         check_events(events)
-        run_id = hashlib.sha256(raw).hexdigest()[:16]
+        run_id = canon.digest16(raw)
         existing = {entry["run_id"]: entry for entry in self.entries()}
         if run_id in existing:
             return existing[run_id]
@@ -163,8 +156,8 @@ class ObsStore:
         try:
             self.runs_dir.mkdir(parents=True, exist_ok=True)
             self.run_path(run_id).write_bytes(raw)
-            with open(self.manifest_path, "a", encoding="utf-8") as handle:
-                handle.write(_canonical(entry) + "\n")
+            canon.append_line(self.manifest_path,
+                              canon.canonical_line(entry))
         except OSError as exc:
             raise ObsError(
                 f"cannot write telemetry archive {str(self._root)!r}: {exc}"
@@ -181,7 +174,7 @@ class ObsStore:
             ObsError: for mid-manifest corruption or a schema mismatch.
         """
         try:
-            text = self.manifest_path.read_text(encoding="utf-8")
+            rows, bad = canon.read_jsonl(self.manifest_path)
         except FileNotFoundError:
             return []
         except OSError as exc:
@@ -189,24 +182,20 @@ class ObsStore:
                 f"cannot read archive manifest "
                 f"{str(self.manifest_path)!r}: {exc}"
             )
-        lines = [line for line in text.split("\n") if line.strip()]
+        tolerated = canon.torn_tail(rows, bad)  # a killed archive's tear
+        for lineno in bad:
+            if lineno != tolerated:
+                raise ObsError(
+                    f"{self.manifest_path}: corrupt manifest line {lineno}"
+                )
         entries: List[Dict[str, Any]] = []
         seen = set()
-        for position, line in enumerate(lines):
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                if position == len(lines) - 1:
-                    continue  # torn trailing line from a killed archive
-                raise ObsError(
-                    f"{self.manifest_path}: corrupt manifest line "
-                    f"{position + 1}"
-                ) from None
+        for lineno, entry in rows:
             if (not isinstance(entry, dict)
                     or entry.get("schema") != OBS_STORE_SCHEMA
                     or not isinstance(entry.get("run_id"), str)):
                 raise ObsError(
-                    f"{self.manifest_path}: manifest line {position + 1} "
+                    f"{self.manifest_path}: manifest line {lineno} "
                     f"is not a {OBS_STORE_SCHEMA} entry"
                 )
             if entry["run_id"] not in seen:
@@ -259,7 +248,7 @@ class ObsStore:
             raise ObsError(
                 f"archived run {entry['run_id']} has no stream file: {exc}"
             )
-        if hashlib.sha256(raw).hexdigest()[:16] != entry["run_id"]:
+        if canon.digest16(raw) != entry["run_id"]:
             raise ObsError(
                 f"archived run {entry['run_id']} does not match its "
                 f"content digest ({str(path)!r} was modified)"
@@ -301,12 +290,10 @@ class ObsStore:
                    if entry["run_id"] not in survivors]
         try:
             if entries:
-                tmp = self.manifest_path.with_suffix(".tmp")
-                tmp.write_text(
-                    "".join(_canonical(entry) + "\n" for entry in kept),
-                    encoding="utf-8",
+                canon.atomic_write_text(
+                    self.manifest_path,
+                    "".join(canon.canonical_line(e) + "\n" for e in kept),
                 )
-                os.replace(tmp, self.manifest_path)
             if self.runs_dir.is_dir():
                 for path in sorted(self.runs_dir.glob("*.jsonl")):
                     if path.stem not in survivors:

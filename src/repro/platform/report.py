@@ -26,11 +26,10 @@ any worker count and any task-declaration order.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Tuple
 
+from repro.canon import canonical_json, digest16
 from repro.errors import PlatformError
 from repro.iso26262.asil import Asil, as_asil
 from repro.iso26262.metrics import TARGETS
@@ -212,9 +211,8 @@ class PlatformReport:
 
     def to_json(self, *, indent: int = 2) -> str:
         """Canonical JSON form (sorted keys)."""
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
+        return canonical_json(self.to_dict(), indent=indent)
 
     def digest(self) -> str:
         """Hex digest of the canonical form (aggregate provenance key)."""
-        text = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+        return digest16(canonical_json(self.to_dict()))

@@ -14,11 +14,10 @@ digest, for any worker count or chunk size.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Tuple
 
+from repro.canon import canonical_json, digest16
 from repro.errors import StatsError, StreamError
 from repro.stats.estimators import UniformRate
 from repro.stats.intervals import RateEstimate
@@ -320,9 +319,8 @@ class StreamReport:
 
     def to_json(self, *, indent: int = 2) -> str:
         """Canonical JSON form (sorted keys)."""
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
+        return canonical_json(self.to_dict(), indent=indent)
 
     def digest(self) -> str:
         """Hex digest of the canonical form (aggregate provenance key)."""
-        text = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+        return digest16(canonical_json(self.to_dict()))
