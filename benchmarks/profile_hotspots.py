@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Profile the repo's two hot loops so perf work starts from data.
+"""Profile the repo's hot loops so perf work starts from data.
 
 Runs :func:`repro.obs.profiled` — the same cProfile wiring behind
 ``repro stream run --profile`` — over the workloads the throughput
@@ -9,7 +9,11 @@ benchmarks gate:
   (1024 distinct-footprint launches on a 64-SM GPU), the headline
   event-loop workload of ``BENCH_simulator.json``;
 * ``soak`` — the 100k-frame stream soak of ``BENCH_streams.json``
-  (jittered arrivals, 1% fault overlay), the frame-loop workload.
+  (jittered arrivals, 1% fault overlay), the frame-loop workload;
+* ``campaign`` — an in-memory ``workers=1`` hotspot/``srrs`` fault
+  campaign of 20k injections (the spec of the ``worker_scaling_w1``
+  scenario of ``BENCH_campaigns.json``), the per-injection
+  classification loop.
 
 For each selected scenario the top functions by cumulative time are
 printed (default 25), and ``--out DIR`` additionally saves a
@@ -20,8 +24,9 @@ profiling before paying the ~2x profiler overhead.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/profile_hotspots.py [het-grid|soak|all]
-        [--frames N] [--top N] [--out DIR] [--spans]
+    PYTHONPATH=src python benchmarks/profile_hotspots.py
+        [het-grid|soak|campaign|all] [--frames N] [--top N] [--out DIR]
+        [--spans]
 """
 
 from __future__ import annotations
@@ -95,15 +100,24 @@ def _run_soak(frames: int, telemetry=None) -> object:
     return run_stream(_soak_spec(frames), workers=1, telemetry=telemetry)
 
 
+def _run_campaign() -> object:
+    """The 20k-injection ``worker_scaling`` campaign, in memory, serially."""
+    from bench_campaigns import _campaign_spec
+
+    from repro.campaigns import run_campaign
+
+    return run_campaign(_campaign_spec(20_000, shards=16), workers=1)
+
+
 def main(argv=None) -> int:
     """CLI entry point (see the module docstring)."""
     parser = argparse.ArgumentParser(
-        description="cProfile the simulator event loop and stream "
-                    "frame loop."
+        description="cProfile the simulator event loop, the stream "
+                    "frame loop and the campaign injection loop."
     )
     parser.add_argument("scenario", nargs="?", default="all",
-                        choices=("het-grid", "soak", "all"),
-                        help="which hot loop to profile (default both)")
+                        choices=("het-grid", "soak", "campaign", "all"),
+                        help="which hot loop to profile (default all)")
     parser.add_argument("--frames", type=int, default=100_000,
                         help="soak length in frames (default %(default)s)")
     parser.add_argument("--top", type=int, default=25,
@@ -123,6 +137,8 @@ def main(argv=None) -> int:
         runs["het-grid"] = _run_het_grid
     if args.scenario in ("soak", "all"):
         runs["soak"] = lambda: _run_soak(args.frames)
+    if args.scenario in ("campaign", "all"):
+        runs["campaign"] = _run_campaign
     for label, fn in runs.items():
         _profile(label, fn, top=args.top, out_dir=args.out)
     return 0

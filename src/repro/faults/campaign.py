@@ -23,17 +23,28 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.canon import canonical_json, digest16
-from repro.errors import FaultInjectionError, SafetyViolation, StatsError
+from repro.errors import (
+    FaultInjectionError,
+    RedundancyError,
+    SafetyViolation,
+    StatsError,
+)
 from repro.faults.injector import CorruptionMap, apply_fault
-from repro.faults.outcomes import FaultOutcome, InjectionResult, classify_outcome
+from repro.faults.outcomes import FaultOutcome, InjectionResult
 from repro.faults.types import (
     FaultDescriptor,
     PermanentSMFault,
     SEUFault,
     TransientCCF,
 )
+from repro.gpu.trace import ExecutionTrace, KernelSpan
 from repro.iso26262.metrics import HardwareMetrics, coverage_from_campaign
-from repro.redundancy.comparison import build_signature, compare_signatures
+# classify() never builds signatures; the names stay bound here because
+# the benchmark's layer tracer (perfbench/tracing.py) wraps them by name
+from repro.redundancy.comparison import (  # noqa: F401
+    build_signature,
+    compare_signatures,
+)
 from repro.redundancy.manager import RedundantRunResult
 from repro.stats.estimators import ImportanceRate, StratifiedRate, UniformRate
 from repro.stats.intervals import RateEstimate
@@ -776,6 +787,42 @@ class CampaignReport:
         return digest16(canonical_json(self.to_dict()))
 
 
+def _check_group(trace: ExecutionTrace, logical: int,
+                 spans: Sequence[KernelSpan]) -> Tuple[Tuple[int, ...], int]:
+    """Validate one comparison group's shape.
+
+    Returns:
+        The group's instance ids in copy order, and its grid size.
+
+    Raises:
+        RedundancyError: with fewer than two copies, duplicate copy ids,
+            or a copy whose blocks are not numbered ``0..n-1`` with the
+            same ``n`` as the other copies (a redundant-launch
+            construction bug, not a modelled fault).
+    """
+    if len(spans) < 2:
+        raise RedundancyError(
+            f"logical kernel {logical}: comparison requires >= 2 redundant "
+            f"copies, found {len(spans)}"
+        )
+    ordered = sorted(spans, key=lambda s: s.copy_id)
+    copy_ids = [s.copy_id for s in ordered]
+    if len(set(copy_ids)) != len(copy_ids):
+        raise RedundancyError(
+            f"logical kernel {logical}: duplicate copy ids {copy_ids}"
+        )
+    grid = len(trace.blocks_of(ordered[0].instance_id))
+    for span in ordered:
+        indices = [r.tb_index for r in trace.blocks_of(span.instance_id)]
+        if indices != list(range(grid)):
+            raise RedundancyError(
+                f"logical kernel {logical}: copy {span.copy_id} has blocks "
+                f"{indices[:8]}{'...' if len(indices) > 8 else ''}, "
+                f"expected 0..{grid - 1}"
+            )
+    return tuple(s.instance_id for s in ordered), grid
+
+
 class FaultCampaign:
     """Runs fault-injection campaigns against a redundant execution.
 
@@ -790,12 +837,24 @@ class FaultCampaign:
             )
         self._run = run
         self._trace = run.sim.trace
-        # instance ids per logical, in copy order, for quick re-comparison
-        self._groups: Dict[int, Tuple[int, ...]] = {}
-        for logical in self._trace.logical_ids():
-            copies = self._trace.copies_of(logical)
-            self._groups[logical] = tuple(
-                copies[c].instance_id for c in sorted(copies)
+        # instance -> logical kernel and instance -> its peer copies: the
+        # whole comparison structure classify() needs, checked once here
+        self._logical_of: Dict[int, int] = {}
+        self._peers: Dict[int, Tuple[int, ...]] = {}
+        groups: Dict[int, List[KernelSpan]] = {}
+        for span in self._trace.spans:
+            groups.setdefault(span.logical_id, []).append(span)
+        grouped_blocks = 0
+        for logical, spans in sorted(groups.items()):
+            instances, grid = _check_group(self._trace, logical, spans)
+            grouped_blocks += grid * len(instances)
+            for iid in instances:
+                self._logical_of[iid] = logical
+                self._peers[iid] = tuple(p for p in instances if p != iid)
+        stray = len(self._trace.tb_records) - grouped_blocks
+        if stray:
+            raise RedundancyError(
+                f"{stray} thread block(s) belong to no comparison group"
             )
         # sampling-domain parameters, shared by the sequential and the
         # indexed (shardable) samplers
@@ -812,38 +871,39 @@ class FaultCampaign:
 
     # ------------------------------------------------------------------
     def classify(self, fault: FaultDescriptor) -> InjectionResult:
-        """Inject one fault and classify its outcome."""
+        """Inject one fault and classify its outcome.
+
+        Clean blocks carry the same token in every copy, so only the
+        corrupted ``(instance, tb)`` pairs can make copies disagree: the
+        injection is DETECTED when one of them has a peer copy whose block
+        ``tb`` is clean or corrupted differently, SDC when every corrupted
+        block agrees with all its peers, and MASKED when nothing was
+        corrupted.  This is the outcome that rebuilding and comparing the
+        affected kernels' full output signatures gives
+        (:mod:`repro.faults.reference`), at a cost of corrupted blocks
+        times copies.
+        """
         corruption = apply_fault(fault, self._trace)
-        outcome = self._classify_corruption(corruption)
-        affected = tuple(
-            sorted(
-                {
-                    self._trace.span(iid).logical_id
-                    for (iid, _tb) in corruption
-                }
-            )
-        )
+        logical_of = self._logical_of
         return InjectionResult(
             fault_label=fault.describe(),
-            outcome=outcome,
+            outcome=self._outcome(corruption),
             corrupted_blocks=len(corruption),
-            affected_logicals=affected,
+            affected_logicals=tuple(
+                sorted({logical_of[iid] for (iid, _tb) in corruption})
+            ),
         )
 
-    def _classify_corruption(self, corruption: CorruptionMap) -> FaultOutcome:
+    def _outcome(self, corruption: CorruptionMap) -> FaultOutcome:
+        """Outcome of a corruption map (see :meth:`classify`)."""
         if not corruption:
             return FaultOutcome.MASKED
-        affected_logicals = {
-            self._trace.span(iid).logical_id for (iid, _tb) in corruption
-        }
-        comparisons = []
-        for logical in affected_logicals:
-            signatures = [
-                build_signature(self._trace, iid, corruption)
-                for iid in self._groups[logical]
-            ]
-            comparisons.append(compare_signatures(signatures))
-        return classify_outcome(corruption, comparisons)
+        peers = self._peers
+        for (iid, tb), signature in corruption.items():
+            for peer in peers[iid]:
+                if corruption.get((peer, tb)) != signature:
+                    return FaultOutcome.DETECTED
+        return FaultOutcome.SDC
 
     # ------------------------------------------------------------------
     def _build_fault(self, kind: str, rng: random.Random, fault_id: int,

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from repro.errors import FaultInjectionError
-from repro.gpu.trace import TBRecord
+from repro.gpu.trace import ExecutionTrace, TBRecord
 
 __all__ = ["FaultDescriptor", "TransientCCF", "PermanentSMFault", "SEUFault"]
 
@@ -43,12 +43,23 @@ class FaultDescriptor:
     Subclasses implement :meth:`effect_on`, returning the corruption
     *signature* a thread-block record suffers from this fault (or ``None``
     when unaffected).  Two records receiving equal signatures produce
-    identical erroneous outputs — the comparison-defeating case.
+    identical erroneous outputs — the comparison-defeating case.  A
+    subclass whose reach is narrow also overrides :meth:`candidates`, so
+    the injector looks only at the blocks the fault can touch.
     """
 
     def effect_on(self, record: TBRecord) -> Optional[Tuple]:
         """Corruption signature of ``record`` under this fault, or None."""
         raise NotImplementedError
+
+    def candidates(self, trace: ExecutionTrace) -> Iterable[TBRecord]:
+        """A superset of the records for which :meth:`effect_on` can be
+        non-``None``.
+
+        The default is every record of the trace, which is correct for
+        any effect model.
+        """
+        return trace.tb_records
 
     def describe(self) -> str:
         """Human-readable label for campaign reports."""
@@ -93,6 +104,12 @@ class TransientCCF(FaultDescriptor):
         bucket = math.floor(work_position / self.phase_quantum)
         return ("ccf", self.fault_id, record.tb_index, bucket)
 
+    def candidates(self, trace: ExecutionTrace) -> Iterable[TBRecord]:
+        """Blocks active at the fault instant on the affected SMs."""
+        sms = range(trace.num_sms) if self.sms is None else self.sms
+        return [record for sm in sms
+                for record in trace.active_on(sm, self.time)]
+
     def describe(self) -> str:
         scope = "chip-wide" if self.sms is None else f"SMs {self.sms}"
         return f"TransientCCF@{self.time:.0f}cy ({scope})"
@@ -128,6 +145,10 @@ class PermanentSMFault(FaultDescriptor):
         if record.sm != self.sm or record.end <= self.since:
             return None
         return ("perm", self.fault_id, record.tb_index)
+
+    def candidates(self, trace: ExecutionTrace) -> Iterable[TBRecord]:
+        """Every block that ran on the faulty SM."""
+        return trace.blocks_on_sm(self.sm)
 
     def describe(self) -> str:
         return f"PermanentSMFault(sm={self.sm}, since={self.since:.0f}cy)"
@@ -171,6 +192,10 @@ class SEUFault(FaultDescriptor):
         if record.sm != self.sm or not record.active_at(self.time):
             return None
         return ("seu", self.fault_id, record.instance_id, record.tb_index)
+
+    def candidates(self, trace: ExecutionTrace) -> Iterable[TBRecord]:
+        """Blocks resident on the struck SM at the strike instant."""
+        return trace.active_on(self.sm, self.time)
 
     def describe(self) -> str:
         return f"SEU(sm={self.sm}, t={self.time:.0f}cy)"

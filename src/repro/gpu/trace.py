@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -76,9 +77,10 @@ class TBRecord:
         The fault model only compares phases *between redundant copies of
         the same block*, for which the approximation is symmetric.
         """
-        if not (self.start <= t < self.end) or self.duration == 0:
+        duration = self.end - self.start
+        if not (self.start <= t < self.end) or duration == 0:
             return None
-        return (t - self.start) / self.duration
+        return (t - self.start) / duration
 
     def active_at(self, t: float) -> bool:
         """True when the block occupies its SM at time ``t``."""
@@ -127,6 +129,30 @@ class KernelSpan:
         return self.first_dispatch - self.arrival
 
 
+class _SMActivity:
+    """One SM's records sorted by start, beside the running maximum of
+    their ends.
+
+    Both sequences are non-decreasing, so a point query bisects each:
+    ``reach`` to the first record still running at ``t``, ``starts`` past
+    the last record started by ``t``.  Only stored floats are compared,
+    so the window is exact.
+    """
+
+    __slots__ = ("records", "starts", "reach")
+
+    def __init__(self, records: Iterable[TBRecord]) -> None:
+        self.records = tuple(sorted(records, key=lambda r: r.start))
+        self.starts = [r.start for r in self.records]
+        self.reach = list(accumulate((r.end for r in self.records), max))
+
+    def active_at(self, t: float) -> Tuple[TBRecord, ...]:
+        """Records with ``start <= t < end``, in start order."""
+        lo = bisect.bisect_right(self.reach, t)
+        hi = bisect.bisect_right(self.starts, t)
+        return tuple([r for r in self.records[lo:hi] if t < r.end])
+
+
 class ExecutionTrace:
     """Container of all :class:`TBRecord` / :class:`KernelSpan` of one run.
 
@@ -143,6 +169,8 @@ class ExecutionTrace:
         self._spans: Dict[int, KernelSpan] = {}
         self._by_instance: Dict[int, List[TBRecord]] = {}
         self._by_sm: Dict[int, List[TBRecord]] = {}
+        # per-SM activity index for active_on(), built on first query
+        self._activity: Optional[Dict[int, _SMActivity]] = None
 
     # ------------------------------------------------------------------
     # construction (used by the simulator)
@@ -154,6 +182,7 @@ class ExecutionTrace:
         self._tb_records.append(record)
         self._by_instance.setdefault(record.instance_id, []).append(record)
         self._by_sm.setdefault(record.sm, []).append(record)
+        self._activity = None
 
     def add_span(self, span: KernelSpan) -> None:
         """Append a kernel span (simulator-internal)."""
@@ -260,6 +289,22 @@ class ExecutionTrace:
             for r in self._tb_records
             if r.active_at(t) and (sm_filter is None or r.sm in sm_filter)
         ]
+
+    def active_on(self, sm: int, t: float) -> Tuple[TBRecord, ...]:
+        """Blocks executing on SM ``sm`` at time ``t`` (``start <= t < end``).
+
+        Answered from a per-SM index built on first use and dropped by
+        :meth:`add_tb`, so a query costs a bisection plus the blocks that
+        started on ``sm`` since the earliest one still running at ``t``,
+        not a scan of the whole trace.  Records come in start order.
+        """
+        if self._activity is None:
+            self._activity = {
+                sm_id: _SMActivity(records)
+                for sm_id, records in self._by_sm.items()
+            }
+        activity = self._activity.get(sm)
+        return activity.active_at(t) if activity is not None else ()
 
     def busy_intervals(self, sm: int) -> List[Tuple[float, float]]:
         """Merged busy intervals of one SM (for utilization reporting)."""

@@ -188,3 +188,67 @@ class TestExecutionTrace:
     def test_span_lookup_unknown_instance(self):
         with pytest.raises(SimulationError):
             ExecutionTrace(num_sms=1).span(99)
+
+
+class TestActiveOn:
+    """The per-SM activity index behind fault candidate sets."""
+
+    def test_start_included_end_excluded(self):
+        trace = ExecutionTrace(num_sms=1)
+        record = _tb(start=10.0, end=20.0)
+        trace.add_tb(record)
+        assert trace.active_on(0, 10.0) == (record,)
+        assert trace.active_on(0, 19.999) == (record,)
+        assert trace.active_on(0, 20.0) == ()
+        assert trace.active_on(0, 9.999) == ()
+
+    def test_zero_duration_block_never_active(self):
+        trace = ExecutionTrace(num_sms=1)
+        trace.add_tb(_tb(tb=0, start=5.0, end=5.0))
+        for t in (4.0, 5.0, 6.0):
+            assert trace.active_on(0, t) == ()
+
+    def test_sm_without_records_is_empty(self):
+        trace = ExecutionTrace(num_sms=3)
+        trace.add_tb(_tb(sm=0, start=0.0, end=10.0))
+        assert trace.active_on(1, 5.0) == ()
+        assert trace.active_on(2, 5.0) == ()
+
+    def test_add_tb_after_query_invalidates_index(self):
+        trace = ExecutionTrace(num_sms=2)
+        first = _tb(tb=0, sm=0, start=0.0, end=10.0)
+        trace.add_tb(first)
+        assert trace.active_on(0, 5.0) == (first,)
+        assert trace.active_on(1, 5.0) == ()
+        second = _tb(tb=1, sm=0, start=4.0, end=6.0)
+        other_sm = _tb(tb=2, sm=1, start=5.0, end=7.0)
+        trace.add_tb(second)
+        trace.add_tb(other_sm)
+        assert trace.active_on(0, 5.0) == (first, second)
+        assert trace.active_on(1, 5.0) == (other_sm,)
+
+    def test_long_block_behind_short_ones(self):
+        # a long block that started first stays visible however many
+        # short blocks started and finished after it
+        trace = ExecutionTrace(num_sms=1)
+        long_block = _tb(tb=0, start=0.0, end=100.0)
+        trace.add_tb(long_block)
+        shorts = [_tb(tb=i, start=float(i), end=i + 1.0) for i in range(1, 50)]
+        for record in shorts:
+            trace.add_tb(record)
+        assert trace.active_on(0, 30.5) == (long_block, shorts[29])
+        assert trace.active_on(0, 60.0) == (long_block,)
+
+    def test_matches_a_scan_of_the_sm(self):
+        trace = ExecutionTrace(num_sms=2)
+        bounds = [(0, 7), (3, 3), (3, 9), (5, 6), (8, 20), (9, 10), (12, 13)]
+        for i, (start, end) in enumerate(bounds):
+            trace.add_tb(_tb(tb=i, sm=i % 2, start=float(start),
+                             end=float(end)))
+        for sm in (0, 1):
+            for t in [x / 2 for x in range(-2, 44)]:
+                expected = sorted(
+                    (r for r in trace.blocks_on_sm(sm) if r.active_at(t)),
+                    key=lambda r: r.start,
+                )
+                assert list(trace.active_on(sm, t)) == expected, (sm, t)
