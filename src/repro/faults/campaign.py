@@ -37,14 +37,9 @@ from repro.faults.types import (
     SEUFault,
     TransientCCF,
 )
-from repro.gpu.trace import ExecutionTrace, KernelSpan
+from repro.gpu.trace import KernelSpan
 from repro.iso26262.metrics import HardwareMetrics, coverage_from_campaign
-# classify() never builds signatures; the names stay bound here because
-# the benchmark's layer tracer (perfbench/tracing.py) wraps them by name
-from repro.redundancy.comparison import (  # noqa: F401
-    build_signature,
-    compare_signatures,
-)
+from repro.redundancy.comparison import build_signature, compare_signatures
 from repro.redundancy.manager import RedundantRunResult
 from repro.stats.estimators import ImportanceRate, StratifiedRate, UniformRate
 from repro.stats.intervals import RateEstimate
@@ -787,42 +782,6 @@ class CampaignReport:
         return digest16(canonical_json(self.to_dict()))
 
 
-def _check_group(trace: ExecutionTrace, logical: int,
-                 spans: Sequence[KernelSpan]) -> Tuple[Tuple[int, ...], int]:
-    """Validate one comparison group's shape.
-
-    Returns:
-        The group's instance ids in copy order, and its grid size.
-
-    Raises:
-        RedundancyError: with fewer than two copies, duplicate copy ids,
-            or a copy whose blocks are not numbered ``0..n-1`` with the
-            same ``n`` as the other copies (a redundant-launch
-            construction bug, not a modelled fault).
-    """
-    if len(spans) < 2:
-        raise RedundancyError(
-            f"logical kernel {logical}: comparison requires >= 2 redundant "
-            f"copies, found {len(spans)}"
-        )
-    ordered = sorted(spans, key=lambda s: s.copy_id)
-    copy_ids = [s.copy_id for s in ordered]
-    if len(set(copy_ids)) != len(copy_ids):
-        raise RedundancyError(
-            f"logical kernel {logical}: duplicate copy ids {copy_ids}"
-        )
-    grid = len(trace.blocks_of(ordered[0].instance_id))
-    for span in ordered:
-        indices = [r.tb_index for r in trace.blocks_of(span.instance_id)]
-        if indices != list(range(grid)):
-            raise RedundancyError(
-                f"logical kernel {logical}: copy {span.copy_id} has blocks "
-                f"{indices[:8]}{'...' if len(indices) > 8 else ''}, "
-                f"expected 0..{grid - 1}"
-            )
-    return tuple(s.instance_id for s in ordered), grid
-
-
 class FaultCampaign:
     """Runs fault-injection campaigns against a redundant execution.
 
@@ -838,19 +797,21 @@ class FaultCampaign:
         self._run = run
         self._trace = run.sim.trace
         # instance -> logical kernel and instance -> its peer copies: the
-        # whole comparison structure classify() needs, checked once here
+        # whole comparison structure classify() needs
         self._logical_of: Dict[int, int] = {}
         self._peers: Dict[int, Tuple[int, ...]] = {}
-        groups: Dict[int, List[KernelSpan]] = {}
+        spans_of: Dict[int, List[KernelSpan]] = {}
         for span in self._trace.spans:
-            groups.setdefault(span.logical_id, []).append(span)
+            spans_of.setdefault(span.logical_id, []).append(span)
         grouped_blocks = 0
-        for logical, spans in sorted(groups.items()):
-            instances, grid = _check_group(self._trace, logical, spans)
-            grouped_blocks += grid * len(instances)
+        for logical, spans in sorted(spans_of.items()):
+            instances = tuple(s.instance_id for s in
+                              sorted(spans, key=lambda s: s.copy_id))
+            self._check_group(logical, instances)
             for iid in instances:
                 self._logical_of[iid] = logical
                 self._peers[iid] = tuple(p for p in instances if p != iid)
+                grouped_blocks += len(self._trace.blocks_of(iid))
         stray = len(self._trace.tb_records) - grouped_blocks
         if stray:
             raise RedundancyError(
@@ -868,6 +829,32 @@ class FaultCampaign:
     def policy(self) -> str:
         """Scheduler label of the underlying clean run."""
         return self._run.sim.scheduler_name
+
+    def _check_group(self, logical: int, instances: Tuple[int, ...]) -> None:
+        """Compare one group's clean copies in full, once.
+
+        A group that compares cleanly has identical block numbering in
+        every copy, so :meth:`classify` may compare only the corrupted
+        blocks.  A malformed baseline thus fails here, before any shard
+        runs, instead of when a fault first hits it.
+
+        Raises:
+            RedundancyError: with fewer than two copies, duplicate copy
+                ids, differing grids, or copies that disagree fault-free
+                (a redundant-launch construction bug, not a modelled
+                fault).
+        """
+        try:
+            clean = compare_signatures(
+                [build_signature(self._trace, iid) for iid in instances]
+            )
+        except RedundancyError as exc:
+            raise RedundancyError(f"logical kernel {logical}: {exc}") from exc
+        if clean.error_detected:
+            raise RedundancyError(
+                f"logical kernel {logical}: fault-free copies disagree on "
+                f"blocks {list(clean.mismatching_blocks)}"
+            )
 
     # ------------------------------------------------------------------
     def classify(self, fault: FaultDescriptor) -> InjectionResult:

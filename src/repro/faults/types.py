@@ -106,9 +106,7 @@ class TransientCCF(FaultDescriptor):
 
     def candidates(self, trace: ExecutionTrace) -> Iterable[TBRecord]:
         """Blocks active at the fault instant on the affected SMs."""
-        sms = range(trace.num_sms) if self.sms is None else self.sms
-        return [record for sm in sms
-                for record in trace.active_on(sm, self.time)]
+        return trace.active_blocks_at(self.time, self.sms)
 
     def describe(self) -> str:
         scope = "chip-wide" if self.sms is None else f"SMs {self.sms}"
@@ -195,7 +193,7 @@ class SEUFault(FaultDescriptor):
 
     def candidates(self, trace: ExecutionTrace) -> Iterable[TBRecord]:
         """Blocks resident on the struck SM at the strike instant."""
-        return trace.active_on(self.sm, self.time)
+        return trace.active_blocks_at(self.time, (self.sm,))
 
     def describe(self) -> str:
         return f"SEU(sm={self.sm}, t={self.time:.0f}cy)"

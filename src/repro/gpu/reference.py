@@ -448,7 +448,7 @@ class ReferenceSimulator:
                 )
             elif st.arrival is not None and not st.started:
                 retry = self._scheduler.earliest_start(st.launch, self)
-                if retry is not None and retry > self._now + _EPS:
+                if retry is not None and retry > self._now:
                     future_arrival = (
                         retry
                         if future_arrival is None
@@ -495,6 +495,11 @@ class ReferenceSimulator:
                 )
                 if compute_active:
                     sm_state.virtual += (throughput / compute_active) * dt
+        elif not self._progress_due():
+            # stalled: the next completion is less than one float step of
+            # ``now`` ahead (see GPUSimulator._advance)
+            if not self._snap_stalled_clocks():
+                raise SimulationError(f"no progress possible at t={t_next}")
         self._now = t_next
 
         for tb in self._resident.values():
@@ -508,6 +513,41 @@ class ReferenceSimulator:
         finished = [tb for tb in self._resident.values() if tb.done]
         for tb in finished:
             self._complete_tb(tb)
+
+    def _progress_due(self) -> bool:
+        """True when some resident block is done or has a work dimension
+        within ``_EPS`` of its clock."""
+        return any(
+            tb.done
+            or (tb.memory_active
+                and tb.memory_finish - self._mem_virtual <= _EPS)
+            or (tb.compute_active
+                and tb.compute_finish - self._sms[tb.sm].virtual <= _EPS)
+            for tb in self._resident.values()
+        )
+
+    def _snap_stalled_clocks(self) -> bool:
+        """Set every virtual clock whose next completion maps to ``now``
+        onto that completion; True when one moved."""
+        moved = False
+        now = self._now
+        memory = [tb.memory_finish for tb in self._resident.values()
+                  if tb.memory_active]
+        if memory:
+            rate = self._gpu.dram_bandwidth / len(memory)
+            if now + (min(memory) - self._mem_virtual) / rate <= now:
+                self._mem_virtual = min(memory)
+                moved = True
+        throughput = self._gpu.sm.issue_throughput
+        for sm_state in self._sms:
+            compute = [tb.compute_finish for tb in sm_state.resident.values()
+                       if tb.compute_active]
+            if compute:
+                share = throughput / len(compute)
+                if now + (min(compute) - sm_state.virtual) / share <= now:
+                    sm_state.virtual = min(compute)
+                    moved = True
+        return moved
 
     def _complete_tb(self, tb: _RefTB) -> None:
         st = self._states[tb.launch.instance_id]

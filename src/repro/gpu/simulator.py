@@ -874,7 +874,7 @@ class GPUSimulator:
                 # arrived but admission-blocked: time-gated policies
                 # (e.g. enforced stagger) expose their retry time
                 retry = self._scheduler.earliest_start(st.launch, self)
-                if retry is not None and retry > now + _EPS:
+                if retry is not None and retry > now:
                     if future_arrival is None or retry < future_arrival:
                         future_arrival = retry
             cur = nxt[cur]
@@ -916,6 +916,13 @@ class GPUSimulator:
                     sm_state.virtual += (
                         throughput / sm_state.compute_active
                     ) * dt
+        elif not self._zombies and not self._finish_key_due():
+            # no clock moves and nothing would drain: the next completion
+            # lies less than one float step of ``now`` ahead (a large
+            # virtual clock rounds its last few cycles), so this event
+            # would repeat forever.  Move those clocks onto their keys.
+            if not self._snap_stalled_clocks():
+                raise SimulationError(f"no progress possible at t={t_next}")
         self._now = t_next
 
         finished = self._zombies
@@ -942,6 +949,36 @@ class GPUSimulator:
             finished.sort()  # (seq, slot): dispatch order
             for _, slot in finished:
                 self._complete_tb(slot)
+
+    def _finish_key_due(self) -> bool:
+        """True when some heap top lies within ``_EPS`` of its clock."""
+        heap = self._mem_heap
+        if heap and heap[0][0] - self._mem_virtual <= _EPS:
+            return True
+        return any(sm_state.heap
+                   and sm_state.heap[0][0] - sm_state.virtual <= _EPS
+                   for sm_state in self._sms)
+
+    def _snap_stalled_clocks(self) -> bool:
+        """Set every virtual clock whose next completion maps to ``now``
+        onto that completion's key; True when one moved."""
+        now = self._now
+        moved = False
+        if self._mem_active:
+            key = self._mem_heap[0][0]
+            rate = self._dram_bw / self._mem_active
+            if now + (key - self._mem_virtual) / rate <= now:
+                self._mem_virtual = key
+                moved = True
+        throughput = self._throughput
+        for sm_state in self._sms:
+            if sm_state.compute_active:
+                key = sm_state.heap[0][0]
+                share = throughput / sm_state.compute_active
+                if now + (key - sm_state.virtual) / share <= now:
+                    sm_state.virtual = key
+                    moved = True
+        return moved
 
     def _complete_tb(self, slot: int) -> None:
         """Retire one finished block: release resources, log, record."""

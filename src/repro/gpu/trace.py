@@ -77,10 +77,9 @@ class TBRecord:
         The fault model only compares phases *between redundant copies of
         the same block*, for which the approximation is symmetric.
         """
-        duration = self.end - self.start
-        if not (self.start <= t < self.end) or duration == 0:
+        if not (self.start <= t < self.end) or self.duration == 0:
             return None
-        return (t - self.start) / duration
+        return (t - self.start) / self.duration
 
     def active_at(self, t: float) -> bool:
         """True when the block occupies its SM at time ``t``."""
@@ -146,11 +145,11 @@ class _SMActivity:
         self.starts = [r.start for r in self.records]
         self.reach = list(accumulate((r.end for r in self.records), max))
 
-    def active_at(self, t: float) -> Tuple[TBRecord, ...]:
+    def active_at(self, t: float) -> List[TBRecord]:
         """Records with ``start <= t < end``, in start order."""
         lo = bisect.bisect_right(self.reach, t)
         hi = bisect.bisect_right(self.starts, t)
-        return tuple([r for r in self.records[lo:hi] if t < r.end])
+        return [r for r in self.records[lo:hi] if t < r.end]
 
 
 class ExecutionTrace:
@@ -169,7 +168,7 @@ class ExecutionTrace:
         self._spans: Dict[int, KernelSpan] = {}
         self._by_instance: Dict[int, List[TBRecord]] = {}
         self._by_sm: Dict[int, List[TBRecord]] = {}
-        # per-SM activity index for active_on(), built on first query
+        # per-SM activity index for active_blocks_at(), built on first query
         self._activity: Optional[Dict[int, _SMActivity]] = None
 
     # ------------------------------------------------------------------
@@ -282,29 +281,23 @@ class ExecutionTrace:
     def active_blocks_at(self, t: float,
                          sms: Optional[Iterable[int]] = None
                          ) -> List[TBRecord]:
-        """Blocks executing at time ``t``, optionally filtered to ``sms``."""
-        sm_filter = set(sms) if sms is not None else None
-        return [
-            r
-            for r in self._tb_records
-            if r.active_at(t) and (sm_filter is None or r.sm in sm_filter)
-        ]
-
-    def active_on(self, sm: int, t: float) -> Tuple[TBRecord, ...]:
-        """Blocks executing on SM ``sm`` at time ``t`` (``start <= t < end``).
+        """Blocks executing at time ``t`` (``start <= t < end``),
+        optionally filtered to ``sms``; in SM order, then start order.
 
         Answered from a per-SM index built on first use and dropped by
-        :meth:`add_tb`, so a query costs a bisection plus the blocks that
-        started on ``sm`` since the earliest one still running at ``t``,
-        not a scan of the whole trace.  Records come in start order.
+        :meth:`add_tb`, so a query costs a bisection per SM plus the
+        blocks that started since the earliest one still running at
+        ``t``, not a scan of the whole trace.
         """
         if self._activity is None:
             self._activity = {
                 sm_id: _SMActivity(records)
                 for sm_id, records in self._by_sm.items()
             }
-        activity = self._activity.get(sm)
-        return activity.active_at(t) if activity is not None else ()
+        activity = self._activity
+        wanted = sorted(activity) if sms is None else sorted(set(sms))
+        return [record for sm in wanted if sm in activity
+                for record in activity[sm].active_at(t)]
 
     def busy_intervals(self, sm: int) -> List[Tuple[float, float]]:
         """Merged busy intervals of one SM (for utilization reporting)."""

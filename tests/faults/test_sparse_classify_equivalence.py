@@ -193,7 +193,7 @@ class TestGroupShapeCheckedAtConstruction:
                               logical_id=span.logical_id, copy_id=1,
                               tb_index=grid, sm=0, start=span.first_dispatch,
                               end=span.completion))
-        with pytest.raises(RedundancyError, match="copy 1"):
+        with pytest.raises(RedundancyError, match="different grids"):
             FaultCampaign(run)
 
     def test_single_copy_group_rejected(self, run):

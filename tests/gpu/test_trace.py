@@ -190,42 +190,43 @@ class TestExecutionTrace:
             ExecutionTrace(num_sms=1).span(99)
 
 
-class TestActiveOn:
-    """The per-SM activity index behind fault candidate sets."""
+class TestActiveBlocksIndex:
+    """The per-SM activity index behind active_blocks_at and fault
+    candidate sets."""
 
     def test_start_included_end_excluded(self):
         trace = ExecutionTrace(num_sms=1)
         record = _tb(start=10.0, end=20.0)
         trace.add_tb(record)
-        assert trace.active_on(0, 10.0) == (record,)
-        assert trace.active_on(0, 19.999) == (record,)
-        assert trace.active_on(0, 20.0) == ()
-        assert trace.active_on(0, 9.999) == ()
+        assert trace.active_blocks_at(10.0, [0]) == [record]
+        assert trace.active_blocks_at(19.999, [0]) == [record]
+        assert trace.active_blocks_at(20.0, [0]) == []
+        assert trace.active_blocks_at(9.999, [0]) == []
 
     def test_zero_duration_block_never_active(self):
         trace = ExecutionTrace(num_sms=1)
         trace.add_tb(_tb(tb=0, start=5.0, end=5.0))
         for t in (4.0, 5.0, 6.0):
-            assert trace.active_on(0, t) == ()
+            assert trace.active_blocks_at(t, [0]) == []
 
     def test_sm_without_records_is_empty(self):
         trace = ExecutionTrace(num_sms=3)
         trace.add_tb(_tb(sm=0, start=0.0, end=10.0))
-        assert trace.active_on(1, 5.0) == ()
-        assert trace.active_on(2, 5.0) == ()
+        assert trace.active_blocks_at(5.0, [1]) == []
+        assert trace.active_blocks_at(5.0, [2]) == []
 
     def test_add_tb_after_query_invalidates_index(self):
         trace = ExecutionTrace(num_sms=2)
         first = _tb(tb=0, sm=0, start=0.0, end=10.0)
         trace.add_tb(first)
-        assert trace.active_on(0, 5.0) == (first,)
-        assert trace.active_on(1, 5.0) == ()
+        assert trace.active_blocks_at(5.0, [0]) == [first]
+        assert trace.active_blocks_at(5.0, [1]) == []
         second = _tb(tb=1, sm=0, start=4.0, end=6.0)
         other_sm = _tb(tb=2, sm=1, start=5.0, end=7.0)
         trace.add_tb(second)
         trace.add_tb(other_sm)
-        assert trace.active_on(0, 5.0) == (first, second)
-        assert trace.active_on(1, 5.0) == (other_sm,)
+        assert trace.active_blocks_at(5.0, [0]) == [first, second]
+        assert trace.active_blocks_at(5.0, [1]) == [other_sm]
 
     def test_long_block_behind_short_ones(self):
         # a long block that started first stays visible however many
@@ -236,8 +237,8 @@ class TestActiveOn:
         shorts = [_tb(tb=i, start=float(i), end=i + 1.0) for i in range(1, 50)]
         for record in shorts:
             trace.add_tb(record)
-        assert trace.active_on(0, 30.5) == (long_block, shorts[29])
-        assert trace.active_on(0, 60.0) == (long_block,)
+        assert trace.active_blocks_at(30.5, [0]) == [long_block, shorts[29]]
+        assert trace.active_blocks_at(60.0, [0]) == [long_block]
 
     def test_matches_a_scan_of_the_sm(self):
         trace = ExecutionTrace(num_sms=2)
@@ -251,4 +252,15 @@ class TestActiveOn:
                     (r for r in trace.blocks_on_sm(sm) if r.active_at(t)),
                     key=lambda r: r.start,
                 )
-                assert list(trace.active_on(sm, t)) == expected, (sm, t)
+                assert trace.active_blocks_at(t, [sm]) == expected, (sm, t)
+
+    def test_all_sms_in_sm_then_start_order(self):
+        trace = ExecutionTrace(num_sms=2)
+        late = _tb(tb=0, sm=1, start=1.0, end=9.0)
+        early = _tb(tb=1, sm=1, start=0.0, end=9.0)
+        on_first_sm = _tb(tb=2, sm=0, start=2.0, end=9.0)
+        for record in (late, early, on_first_sm):
+            trace.add_tb(record)
+        assert trace.active_blocks_at(5.0) == [on_first_sm, early, late]
+        assert (trace.active_blocks_at(5.0, [1, 0, 1])
+                == [on_first_sm, early, late])
