@@ -17,10 +17,21 @@ SRRS and HALF do not.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
+import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.canon import canonical_json, digest16
 from repro.errors import (
@@ -37,7 +48,7 @@ from repro.faults.types import (
     SEUFault,
     TransientCCF,
 )
-from repro.gpu.trace import KernelSpan
+from repro.gpu.trace import KernelSpan, TBRecord
 from repro.iso26262.metrics import HardwareMetrics, coverage_from_campaign
 from repro.redundancy.comparison import build_signature, compare_signatures
 from repro.redundancy.manager import RedundantRunResult
@@ -190,11 +201,6 @@ class SamplingConfig:
             kind for kind in CANONICAL_KINDS
             for _ in range(allocation[kind])
         )
-
-    def kind_at(self, index: int) -> str:
-        """Stratified kind of fault ``index`` (deterministic layout)."""
-        block = self.block()
-        return block[index % len(block)]
 
     def draw_kind(self, rng: random.Random) -> str:
         """Importance-sampled kind (consumes one draw from ``rng``)."""
@@ -782,6 +788,174 @@ class CampaignReport:
         return digest16(canonical_json(self.to_dict()))
 
 
+#: One outcome-table row: an :class:`InjectionResult` without its label.
+_Row = Tuple[FaultOutcome, int, Tuple[int, ...]]
+
+#: Piecewise-constant outcomes over a fault's time axis: row ``k`` answers
+#: a fault at any ``t`` with ``bisect_right(points, t) == k``.
+_Table = Tuple[List[float], List[Optional[_Row]]]
+
+_MASKED_ROW: _Row = (FaultOutcome.MASKED, 0, ())
+
+
+def _sweep(records: Iterable[TBRecord]
+           ) -> Iterator[Tuple[float, List[TBRecord], List[TBRecord]]]:
+    """Each distinct start or end time of ``records``, in increasing
+    order, with the records that start at it and those that end at it.
+
+    A consumer that enters the starting records and then drops the ending
+    ones holds, after each point ``p``, exactly the records active on
+    ``[p, next point)`` (``start <= t < end``).
+    """
+    starting: Dict[float, List[TBRecord]] = {}
+    ending: Dict[float, List[TBRecord]] = {}
+    for record in records:
+        starting.setdefault(record.start, []).append(record)
+        ending.setdefault(record.end, []).append(record)
+    for point in sorted({*starting, *ending}):
+        yield point, starting.get(point, []), ending.get(point, [])
+
+
+class _Reach:
+    """The blocks one fault corrupts, grown and shrunk a record at a time.
+
+    Keeps what an :class:`InjectionResult` needs without a corruption
+    map: the block count, the logical kernels hit, and how many
+    comparison groups ``(logical, tb)`` are only partly corrupted.  Each
+    such group holds a corrupted block whose peer copy is clean, so the
+    injection is DETECTED whatever the signatures are.
+    """
+
+    __slots__ = ("_logical_of", "_copies", "_hits", "_per_logical",
+                 "_affected", "blocks", "partial")
+
+    def __init__(self, logical_of: Mapping[int, int],
+                 copies: Mapping[int, int]) -> None:
+        self._logical_of = logical_of
+        self._copies = copies
+        self._hits: Dict[Tuple[int, int], int] = {}
+        self._per_logical: Dict[int, int] = {}
+        self._affected: Optional[Tuple[int, ...]] = ()
+        self.blocks = 0
+        self.partial = 0
+
+    def add(self, record: TBRecord) -> None:
+        self._move(record, 1)
+
+    def remove(self, record: TBRecord) -> None:
+        self._move(record, -1)
+
+    def _move(self, record: TBRecord, step: int) -> None:
+        iid = record.instance_id
+        logical = self._logical_of[iid]
+        copies = self._copies[iid]
+        group = (logical, record.tb_index)
+        before = self._hits.get(group, 0)
+        after = before + step
+        self._hits[group] = after
+        self.partial += (0 < after < copies) - (0 < before < copies)
+        self.blocks += step
+        count = self._per_logical.get(logical, 0) + step
+        if count == 0:
+            del self._per_logical[logical]
+            self._affected = None  # a logical kernel left the reach
+        else:
+            self._per_logical[logical] = count
+            if count == 1 and step == 1:
+                self._affected = None  # a logical kernel entered it
+
+    def row(self, agreeing: Optional[FaultOutcome]) -> Optional[_Row]:
+        """The current reach as a table row.
+
+        ``agreeing`` is the outcome when every corrupted group is
+        corrupted in all its copies; ``None`` means that depends on the
+        signatures, which the row does not know.
+        """
+        if not self.blocks:
+            return _MASKED_ROW
+        outcome = FaultOutcome.DETECTED if self.partial else agreeing
+        if outcome is None:
+            return None
+        if self._affected is None:
+            self._affected = tuple(sorted(self._per_logical))
+        return outcome, self.blocks, self._affected
+
+
+def _ccf_table(records: Iterable[TBRecord], logical_of: Mapping[int, int],
+               copies: Mapping[int, int]) -> _Table:
+    """Chip-wide :class:`TransientCCF` outcomes over the fault time.
+
+    Between consecutive record starts/ends the active set is fixed.  A
+    row is MASKED when nothing is active and DETECTED when an active
+    block has an idle peer copy.  When every active block's peers are
+    active too, the phase buckets decide between DETECTED and SDC, and
+    the row is ``None``.
+    """
+    reach = _Reach(logical_of, copies)
+    points: List[float] = []
+    rows: List[Optional[_Row]] = [_MASKED_ROW]
+    for point, entering, leaving in _sweep(records):
+        for record in entering:
+            reach.add(record)
+        for record in leaving:
+            reach.remove(record)
+        points.append(point)
+        rows.append(reach.row(None))
+    return points, rows
+
+
+def _perm_table(on_sm: Iterable[TBRecord], logical_of: Mapping[int, int],
+                copies: Mapping[int, int]) -> _Table:
+    """:class:`PermanentSMFault` outcomes over the onset ``since``.
+
+    The fault corrupts the SM's blocks with ``end > since``, a set fixed
+    between consecutive distinct ends; copies that all ran there agree
+    on the wrong answer (SDC).
+    """
+    reach = _Reach(logical_of, copies)
+    ending: Dict[float, List[TBRecord]] = {}
+    for record in on_sm:
+        ending.setdefault(record.end, []).append(record)
+    ends = sorted(ending)
+    rows: List[Optional[_Row]] = [_MASKED_ROW] * (len(ends) + 1)
+    for k in range(len(ends) - 1, -1, -1):
+        for record in ending[ends[k]]:
+            reach.add(record)
+        rows[k] = reach.row(FaultOutcome.SDC)
+    return ends, rows
+
+
+def _seu_table(on_sm: Iterable[TBRecord],
+               logical_of: Mapping[int, int]) -> _Table:
+    """:class:`SEUFault` outcomes over the strike time.
+
+    The single victim is the lowest active ``(instance, tb)`` on the SM,
+    as :func:`apply_fault` picks it.  Every comparison group has a second
+    copy, which the strike leaves clean, so a hit is always DETECTED.
+    """
+    points: List[float] = []
+    rows: List[Optional[_Row]] = [_MASKED_ROW]
+    active: Dict[Tuple[int, int], None] = {}  # (instance, tb) on the SM
+    for point, entering, leaving in _sweep(on_sm):
+        for record in entering:
+            active[(record.instance_id, record.tb_index)] = None
+        for record in leaving:
+            del active[(record.instance_id, record.tb_index)]
+        points.append(point)
+        if active:
+            victim = min(active)[0]
+            rows.append((FaultOutcome.DETECTED, 1, (logical_of[victim],)))
+        else:
+            rows.append(_MASKED_ROW)
+    return points, rows
+
+
+def _lookup(table: _Table, t: float) -> Optional[_Row]:
+    """The row of ``table`` for a fault at ``t`` (stored floats only)."""
+    points, rows = table
+    return rows[bisect.bisect_right(points, t)]
+
+
 class FaultCampaign:
     """Runs fault-injection campaigns against a redundant execution.
 
@@ -817,6 +991,7 @@ class FaultCampaign:
             raise RedundancyError(
                 f"{stray} thread block(s) belong to no comparison group"
             )
+        self._build_outcome_tables()
         # sampling-domain parameters, shared by the sequential and the
         # indexed (shardable) samplers
         self._makespan = self._trace.makespan
@@ -824,6 +999,10 @@ class FaultCampaign:
         self._work_hint = max(
             (r.duration for r in self._trace.tb_records), default=1000.0
         )
+        # the last sampled design fault_at() checked, with its kind block
+        self._layout: Optional[
+            Tuple[CampaignConfig, SamplingConfig, Tuple[str, ...]]
+        ] = None
 
     @property
     def policy(self) -> str:
@@ -856,6 +1035,28 @@ class FaultCampaign:
                 f"blocks {list(clean.mismatching_blocks)}"
             )
 
+    def _build_outcome_tables(self) -> None:
+        """Tabulate the built-in fault kinds' outcomes over time.
+
+        The trace is immutable, so a fault's whole
+        :class:`InjectionResult` but its label is constant over pieces of
+        its time axis: one table for chip-wide CCFs (:func:`_ccf_table`)
+        and, per SM, one for permanent faults (:func:`_perm_table`) and
+        one for SEUs (:func:`_seu_table`).  Each sweeps its sorted
+        start/end events once, so building them all costs
+        O(R log R + total active blocks).
+        """
+        logical_of = self._logical_of
+        copies = {iid: len(peers) + 1 for iid, peers in self._peers.items()}
+        trace = self._trace
+        self._ccf_table = _ccf_table(trace.tb_records, logical_of, copies)
+        self._perm_tables: Dict[int, _Table] = {}
+        self._seu_tables: Dict[int, _Table] = {}
+        for sm in range(trace.num_sms):
+            on_sm = trace.blocks_on_sm(sm)
+            self._perm_tables[sm] = _perm_table(on_sm, logical_of, copies)
+            self._seu_tables[sm] = _seu_table(on_sm, logical_of)
+
     # ------------------------------------------------------------------
     def classify(self, fault: FaultDescriptor) -> InjectionResult:
         """Inject one fault and classify its outcome.
@@ -867,9 +1068,32 @@ class FaultCampaign:
         block agrees with all its peers, and MASKED when nothing was
         corrupted.  This is the outcome that rebuilding and comparing the
         affected kernels' full output signatures gives
-        (:mod:`repro.faults.reference`), at a cost of corrupted blocks
-        times copies.
+        (:mod:`repro.faults.reference`).
+
+        The three built-in fault kinds are answered by one bisection into
+        the baseline's outcome tables (see :meth:`_build_outcome_tables`).
+        Everything else takes the exact path, at a cost of corrupted
+        blocks times copies: a table row of ``None``, an SM-subset CCF, a
+        subclass (which may override :meth:`~FaultDescriptor.effect_on`),
+        an SM the trace lacks (so :func:`apply_fault` raises), a NaN
+        permanent-fault onset (which corrupts every block on the SM but
+        bisects past them all), and any other descriptor.
         """
+        kind = type(fault)
+        row: Optional[_Row] = None
+        if kind is TransientCCF:
+            if fault.sms is None:
+                row = _lookup(self._ccf_table, fault.time)
+        elif kind is PermanentSMFault:
+            table = self._perm_tables.get(fault.sm)
+            if table is not None and not math.isnan(fault.since):
+                row = _lookup(table, fault.since)
+        elif kind is SEUFault:
+            table = self._seu_tables.get(fault.sm)
+            if table is not None:
+                row = _lookup(table, fault.time)
+        if row is not None:
+            return InjectionResult(fault.describe(), *row)
         corruption = apply_fault(fault, self._trace)
         logical_of = self._logical_of
         return InjectionResult(
@@ -980,10 +1204,17 @@ class FaultCampaign:
                 raise FaultInjectionError(
                     f"fault index {index} cannot be negative"
                 )
-            sampling.validate_support(config)
+            layout = self._layout
+            if (layout is None or layout[0] is not config
+                    or layout[1] is not sampling):
+                # both are frozen: check the pair and expand its block
+                # once, not once per index
+                sampling.validate_support(config)
+                layout = self._layout = (config, sampling, sampling.block())
             rng = fault_substream(config.seed, index)
             if sampling.method == "stratified":
-                kind = sampling.kind_at(index)
+                block = layout[2]
+                kind = block[index % len(block)]
             else:
                 kind = sampling.draw_kind(rng)
             return self._build_fault(kind, rng, index, config.phase_quantum)

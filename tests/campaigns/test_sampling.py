@@ -25,6 +25,7 @@ from repro.campaigns import (
     resume_campaign,
     run_campaign,
 )
+from repro.campaigns.runner import baseline_campaign
 from repro.errors import FaultInjectionError
 from repro.faults.campaign import (
     CampaignReport,
@@ -198,5 +199,22 @@ class TestSamplingConfigValidation:
         config = SamplingConfig(method="stratified", transient_ccf=1,
                                 permanent_sm=2, seu=1)
         assert config.block() == ("ccf", "perm", "perm", "seu")
-        kinds = [config.kind_at(i) for i in range(8)]
-        assert kinds == ["ccf", "perm", "perm", "seu"] * 2
+
+    def test_fault_at_follows_the_block_and_checks_every_design(self):
+        campaign = baseline_campaign(_spec().run)
+        config = _spec().faults.to_config(seed=7)
+        kinds = {"ccf": "TransientCCF", "perm": "PermanentSMFault",
+                 "seu": "SEUFault"}
+        for weights in ((1, 2, 1), (3, 1, 1)):
+            sampling = SamplingConfig("stratified", *weights)
+            block = sampling.block()
+            for index in range(2 * len(block)):
+                fault = campaign.fault_at(config, index, sampling=sampling)
+                assert (type(fault).__name__
+                        == kinds[block[index % len(block)]])
+        # an unsupported design raises on every call, also after a
+        # supported one was used on the same campaign
+        starved = SamplingConfig("stratified", 1, 0, 1)
+        for index in (0, 1):
+            with pytest.raises(FaultInjectionError, match="no weight"):
+                campaign.fault_at(config, index, sampling=starved)
