@@ -12,7 +12,9 @@ Schema history:
 
 * ``v1`` — ``{"schema", "generated_by", "scenarios"}``;
 * ``v2`` — adds a top-level ``"environment"`` object with
-  ``python_version`` and ``platform``.
+  ``python_version`` and ``platform``, later also ``cpu_count`` (the
+  logical CPUs of the host, so a scaling leg with more workers than
+  cores can be told apart).
 
 Readers (``tools/bench_compare.py``) tolerate both generations.
 """
@@ -20,6 +22,7 @@ Readers (``tools/bench_compare.py``) tolerate both generations.
 from __future__ import annotations
 
 import json
+import os
 import platform
 from pathlib import Path
 from typing import Dict
@@ -30,11 +33,12 @@ __all__ = ["BenchArtifact", "environment_metadata"]
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def environment_metadata() -> Dict[str, str]:
+def environment_metadata() -> Dict[str, object]:
     """The environment stamp recorded in every v2 artifact."""
     return {
         "python_version": platform.python_version(),
         "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
     }
 
 

@@ -89,6 +89,7 @@ from repro.errors import (
     StatsError,
     StreamError,
     WorkerCountError,
+    WorkerCrashError,
 )
 from repro.gpu import (
     ExecutionTrace,
@@ -174,6 +175,7 @@ __all__ = [
     "StreamError",
     "PlatformError",
     "WorkerCountError",
+    "WorkerCrashError",
     "LintError",
     "StatsError",
     "RepeatBudgetError",

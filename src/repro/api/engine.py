@@ -12,16 +12,15 @@ campaign) behind a single, uniform entry point::
     ))
     assert artifact.diversity.fully_diverse
 
-Batch execution (:meth:`Engine.run_many`) fans specs out over a process
-pool.  Every model in the reproduction is deterministic and fault seeds
-are fixed per spec, so the artifact list is identical for any worker
-count — ``workers=4`` only changes the wall-clock, never the results.
+Batch execution (:meth:`Engine.run_many`) fans specs out over the warm
+process pool of :mod:`repro.exec`.  Every model in the reproduction is
+deterministic and fault seeds are fixed per spec, so the artifact list
+is identical for any worker count — ``workers=4`` only changes the
+wall-clock, never the results.
 """
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.api.artifact import (
@@ -35,6 +34,7 @@ from repro.api.artifact import (
 )
 from repro.api.spec import RunSpec
 from repro.errors import ConfigurationError, WorkerCountError
+from repro.exec import pool_size, run_tasks
 from repro.faults.campaign import FaultCampaign
 from repro.gpu.config import GPUConfig
 from repro.gpu.cots import cots_end_to_end
@@ -53,10 +53,11 @@ from repro.workloads.rodinia import get_benchmark
 __all__ = ["Engine", "run", "run_many"]
 
 
-def _worker_run(item: Tuple[RunSpec, bool]) -> RunArtifact:
-    """Process-pool entry point (must be module-level to pickle)."""
+def _worker_run(item: Tuple[RunSpec, bool],
+                telemetry: Telemetry) -> RunArtifact:
+    """Task function of :meth:`Engine.stream` (module-level to pickle)."""
     spec, validate = item
-    return Engine(validate=validate).run(spec)
+    return Engine(validate=validate, telemetry=telemetry).run(spec)
 
 
 class Engine:
@@ -157,9 +158,9 @@ class Engine:
                workers: int = 1) -> Iterator[RunArtifact]:
         """Like :meth:`run_many` but yields artifacts as they complete.
 
-        Artifacts are yielded in spec order (the pool's map preserves
-        order while executing out-of-order).  Argument validation happens
-        eagerly, before the returned iterator is consumed.
+        Artifacts are yielded in spec order (:func:`repro.exec.run_tasks`
+        preserves it while executing out of order).  Argument validation
+        happens eagerly, before the returned iterator is consumed.
 
         Raises:
             WorkerCountError: for ``workers < 1`` — a
@@ -178,30 +179,21 @@ class Engine:
         tm = self._telemetry
         tm.emit("run_start", kind="engine-batch", specs=len(spec_list),
                 workers=workers)
+        # an in-process run counts itself (Engine.run); a pooled one
+        # counts into its worker's sidecar, so count it here as well
+        pooled = pool_size(workers, len(spec_list)) > 1
         done = 0
-        if workers == 1 or len(spec_list) <= 1:
-            for spec in spec_list:
-                yield self.run(spec)
-                done += 1
-                if tm.enabled:
-                    tm.beat("engine", done, len(spec_list),
-                            rate_counter="runs", unit="runs/s")
-        else:
-            items = [(spec, self._validate) for spec in spec_list]
-            pool_size = min(workers, len(spec_list))
-            # chunked submission amortises per-task pickling/IPC overhead on
-            # large batches; map() preserves spec order regardless of
-            # chunking, so results stay identical for any worker count
-            chunksize = max(1, math.ceil(len(items) / (pool_size * 4)))
-            with ProcessPoolExecutor(max_workers=pool_size) as pool:
-                for artifact in pool.map(_worker_run, items,
-                                         chunksize=chunksize):
-                    yield artifact
-                    done += 1
-                    if tm.enabled:
-                        tm.metrics.add("runs")
-                        tm.beat("engine", done, len(spec_list),
-                                rate_counter="runs", unit="runs/s")
+        for artifact in run_tasks(
+                _worker_run, [(spec, self._validate) for spec in spec_list],
+                keys=[f"spec-{i:05d}" for i in range(len(spec_list))],
+                workers=workers, telemetry=tm):
+            yield artifact
+            done += 1
+            if tm.enabled:
+                if pooled:
+                    tm.metrics.add("runs")
+                tm.beat("engine", done, len(spec_list),
+                        rate_counter="runs", unit="runs/s")
         tm.emit("run_end", kind="engine-batch", completed=done)
 
     # ------------------------------------------------------------------

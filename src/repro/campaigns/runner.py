@@ -6,11 +6,10 @@ aggregate :class:`~repro.faults.campaign.CampaignReport` by:
 1. planning contiguous shards of the fault-index space
    (:func:`repro.campaigns.sharding.plan_shards`);
 2. skipping shards already present in the campaign store (resume);
-3. executing the remaining shards — in-process or on a process pool in
-   the style of :meth:`repro.api.engine.Engine.run_many`, except that
-   shards persist to the store *as they complete* (``as_completed``
-   rather than an order-preserving ``map``), so an interrupt loses at
-   most the shards still in flight;
+3. executing the remaining shards through :func:`repro.exec.run_tasks`
+   — in-process or on the warm process pool — in completion order, so
+   shards persist to the store *as they complete* and an interrupt
+   loses at most the shards still in flight;
 4. folding the per-shard outcome tables into one incremental
    :class:`~repro.faults.campaign.CampaignReport` in shard order — the
    aggregate is O(shards) in memory and never materialises the campaign's
@@ -24,10 +23,11 @@ contract and its proof obligations).
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, as_completed
+# perfbench/tracing.py still looks these two names up here (ROADMAP item 1)
+from concurrent.futures import ProcessPoolExecutor, as_completed  # noqa: F401
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.api.campaign import CampaignSpec
 from repro.api.spec import RunSpec
@@ -39,6 +39,7 @@ from repro.campaigns.store import (
     ShardRecord,
 )
 from repro.errors import CampaignError, StatsError
+from repro.exec import run_tasks
 from repro.faults.campaign import (
     SDC_SAMPLE_LIMIT,
     CampaignReport,
@@ -47,13 +48,6 @@ from repro.faults.campaign import (
 )
 from repro.faults.outcomes import FaultOutcome
 from repro.obs.session import NULL_TELEMETRY, Telemetry
-from repro.obs.worker import (
-    close_worker_session,
-    merge_sidecars,
-    sidecar_dir,
-    sidecar_path,
-    worker_session,
-)
 from repro.redundancy.manager import RedundantKernelManager
 from repro.stats.intervals import RateEstimate
 from repro.stats.repeater import (
@@ -77,10 +71,11 @@ __all__ = [
 ]
 
 # Per-process memo of clean baseline runs, keyed by (RunSpec.config_hash,
-# validate).  Worker processes are reused across shard tasks, so each
-# process simulates the attacked run once per campaign instead of once
-# per shard.  Bounded: distinct baselines per process stay tiny (one per
-# campaign), but guard against pathological reuse anyway.
+# validate).  Worker processes are reused across shard tasks and across
+# calls (repro.exec keeps one warm pool), so each process simulates the
+# attacked run once, not once per shard; a pool forked after the cache
+# was filled inherits it.  Bounded: distinct baselines per process stay
+# tiny (one per campaign), but guard against pathological reuse anyway.
 _BASELINE_CACHE: Dict[Tuple[str, bool], FaultCampaign] = {}
 _BASELINE_CACHE_LIMIT = 8
 
@@ -127,48 +122,41 @@ def _shard_key(shard_index: int) -> str:
     return f"shard-{shard_index:05d}"
 
 
-def _execute_shard(task: Tuple) -> ShardRecord:
-    """Process-pool entry point: run one shard to a :class:`ShardRecord`.
+def _execute_shard(task: Tuple,
+                   telemetry: Telemetry = NULL_TELEMETRY) -> ShardRecord:
+    """Task function: run one shard to a :class:`ShardRecord`.
 
     The task is a plain picklable tuple ``(spec_json, shard_index, start,
-    stop, validate)``, optionally extended with a sixth element — the
-    worker-sidecar telemetry path (:mod:`repro.obs.worker`) a pooled
-    worker logs its own spans to.  The shard samples exactly its slice
-    of the indexed fault population, classifies each injection against
-    the (cached) clean trace, and aggregates outcome counts —
-    per-injection results never leave the worker.
+    stop, validate)``; ``telemetry`` receives the shard's spans (the
+    caller's session in-process, a sidecar session on a pool worker).
+    The shard samples exactly its slice of the indexed fault population,
+    classifies each injection against the (cached) clean trace, and
+    aggregates outcome counts — per-injection results never leave the
+    worker.  Injection counters and heartbeats are the orchestrator's
+    (:func:`_observe_record`), so an in-process shard never counts twice.
     """
-    spec_json, shard_index, start, stop, validate = task[:5]
-    sidecar = task[5] if len(task) > 5 else None
-    wt = worker_session(sidecar)
-    try:
-        with wt.span("shard", shard=shard_index, start=start, stop=stop):
-            spec = CampaignSpec.from_json(spec_json)
-            cached = (spec.run.config_hash, validate) in _BASELINE_CACHE
-            with wt.span("baseline", cached=cached):
-                campaign = baseline_campaign(spec.run, validate=validate)
-            config = spec.faults.to_config(seed=spec.run.seed)
-            sampling = (spec.sampling.to_config()
-                        if spec.sampling is not None else None)
-            counts: Dict[str, Dict[str, int]] = {}
-            sdc_samples: List[str] = []
-            with wt.span("classify", injections=stop - start):
-                for index in range(start, stop):
-                    fault = campaign.fault_at(config, index,
-                                              sampling=sampling)
-                    result = campaign.classify(fault)
-                    kind = type(fault).__name__
-                    bucket = counts.setdefault(kind, {})
-                    key = OUTCOME_KEYS[result.outcome]
-                    bucket[key] = bucket.get(key, 0) + 1
-                    if (result.outcome is FaultOutcome.SDC
-                            and len(sdc_samples) < SDC_SAMPLE_LIMIT):
-                        sdc_samples.append(result.fault_label)
-            if wt.enabled:
-                wt.metrics.add("injections", stop - start)
-                wt.beat("shard", stop - start, stop - start, force=True)
-    finally:
-        close_worker_session(wt)
+    spec_json, shard_index, start, stop, validate = task
+    with telemetry.span("shard", shard=shard_index, start=start, stop=stop):
+        spec = CampaignSpec.from_json(spec_json)
+        cached = (spec.run.config_hash, validate) in _BASELINE_CACHE
+        with telemetry.span("baseline", cached=cached):
+            campaign = baseline_campaign(spec.run, validate=validate)
+        config = spec.faults.to_config(seed=spec.run.seed)
+        sampling = (spec.sampling.to_config()
+                    if spec.sampling is not None else None)
+        counts: Dict[str, Dict[str, int]] = {}
+        sdc_samples: List[str] = []
+        with telemetry.span("classify", injections=stop - start):
+            for index in range(start, stop):
+                fault = campaign.fault_at(config, index, sampling=sampling)
+                result = campaign.classify(fault)
+                kind = type(fault).__name__
+                bucket = counts.setdefault(kind, {})
+                key = OUTCOME_KEYS[result.outcome]
+                bucket[key] = bucket.get(key, 0) + 1
+                if (result.outcome is FaultOutcome.SDC
+                        and len(sdc_samples) < SDC_SAMPLE_LIMIT):
+                    sdc_samples.append(result.fault_label)
     return ShardRecord(
         shard=shard_index,
         start=start,
@@ -472,13 +460,8 @@ def run_campaign(spec: CampaignSpec, *,
                             reason="re-dispatched after interrupt")
 
     if pending:
-        spec_json = spec.to_json()
-        tasks = [
-            (spec_json, shard.index, shard.start, shard.stop, validate)
-            for shard in pending
-        ]
         with tm.span("execute", shards=len(pending), workers=workers):
-            for record in _execute(tasks, workers, telemetry=tm):
+            for record in _execute(spec, pending, workers, validate, tm):
                 if store is not None:
                     store.append(record)
                 done[record.shard] = record
@@ -498,53 +481,22 @@ def run_campaign(spec: CampaignSpec, *,
     return report
 
 
-def _execute(tasks: List[Tuple[str, int, int, int, bool]],
-             workers: int,
-             telemetry: Optional[Telemetry] = None
-             ) -> Iterable[ShardRecord]:
-    """Yield shard records as they complete (in-process or pooled).
+def _execute(spec: CampaignSpec, shards: List[Shard], workers: int,
+             validate: bool, tm: Telemetry) -> Iterator[ShardRecord]:
+    """Yield the records of ``shards`` as they complete.
 
-    Orchestrator-side telemetry: ``shard_start`` at dispatch —
-    submission time on the pooled path — and ``worker_error`` when a
-    shard raises, immediately before the error propagates.  Pooled
-    shards additionally log their own spans to per-worker sidecar
-    files (:mod:`repro.obs.worker`) which are merged back into the
-    session — in shard order, so the merged stream is deterministic —
-    once the pool drains.  A failing run skips the merge and leaves
-    the sidecars on disk for post-mortem reading.
+    :func:`repro.exec.run_tasks` owns the serial path, the warm pool,
+    the worker sidecars, the ``shard_start``/``worker_error``/``retry``
+    events and crash retry.
     """
-    tm = telemetry if telemetry is not None else NULL_TELEMETRY
-    if workers == 1 or len(tasks) == 1:
-        for task in tasks:
-            tm.emit("shard_start", shard=task[1], start=task[2],
-                    stop=task[3], pooled=False)
-            try:
-                record = _execute_shard(task)
-            except Exception as exc:
-                tm.emit("worker_error", shard=task[1], error=repr(exc))
-                raise
-            yield record
-        return
-    pool_size = min(workers, len(tasks))
-    wdir = sidecar_dir(tm) if tm.sink.enabled else None
-    if wdir is not None:
-        tasks = [task + (sidecar_path(wdir, _shard_key(task[1])),)
-                 for task in tasks]
-    with ProcessPoolExecutor(max_workers=pool_size) as pool:
-        futures = {}
-        for task in tasks:
-            tm.emit("shard_start", shard=task[1], start=task[2],
-                    stop=task[3], pooled=True)
-            futures[pool.submit(_execute_shard, task)] = task[1]
-        for future in as_completed(futures):
-            try:
-                yield future.result()
-            except Exception as exc:
-                tm.emit("worker_error", shard=futures[future],
-                        error=repr(exc))
-                raise
-    if wdir is not None:
-        merge_sidecars(tm, wdir, [_shard_key(task[1]) for task in tasks])
+    spec_json = spec.to_json()
+    return run_tasks(
+        _execute_shard,
+        [(spec_json, shard.index, shard.start, shard.stop, validate)
+         for shard in shards],
+        keys=[_shard_key(shard.index) for shard in shards],
+        workers=workers, telemetry=tm, ordered=False,
+    )
 
 
 def resume_campaign(store: Union[CampaignStore, str, Path], *,
@@ -692,13 +644,8 @@ def repeat_campaign(spec: CampaignSpec, *,
         if not pending:
             break
         wave = pending[:workers]
-        spec_json = spec.to_json()
-        tasks = [
-            (spec_json, shard.index, shard.start, shard.stop, validate)
-            for shard in wave
-        ]
         with tm.span("wave", shards=len(wave)):
-            for record in _execute(tasks, workers, telemetry=tm):
+            for record in _execute(spec, wave, workers, validate, tm):
                 if store is not None:
                     store.append(record)
                 done[record.shard] = record

@@ -158,3 +158,28 @@ class WorkerCountError(ConfigurationError, StreamError, ValueError):
     keep working while plain ``except ValueError`` callers see the bad
     argument for what it is.
     """
+
+
+class WorkerCrashError(ReproError):
+    """A worker process died on every attempt of one task.
+
+    Raised by :func:`repro.exec.run_tasks` once a task has used all
+    :data:`repro.exec.MAX_ATTEMPTS` attempts, each ended by the death
+    of the worker process running it (a ``BrokenProcessPool``: a
+    SIGKILL, the out-of-memory killer, a crash in native code).  The
+    task is named by its key (``"shard-00003"``, ``"device-gpu0"``);
+    its sidecar telemetry file, if any, stays on disk.
+
+    Attributes:
+        key: the key of the task that kept killing its worker.
+        attempts: how many attempts the task was given.
+    """
+
+    def __init__(self, key: str, attempts: int) -> None:
+        super().__init__(key, attempts)
+        self.key = key
+        self.attempts = attempts
+
+    def __str__(self) -> str:
+        return (f"worker process died on all {self.attempts} attempts "
+                f"of task {self.key!r}")

@@ -17,12 +17,13 @@ SRRS and HALF do not.
 
 from __future__ import annotations
 
+import _random
 import bisect
 import hashlib
-import math
 import random
 from dataclasses import dataclass, field
 from typing import (
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -62,6 +63,7 @@ __all__ = [
     "SamplingConfig",
     "SDC_SAMPLE_LIMIT",
     "fault_substream",
+    "prefixed_substreams",
     "sampling_metadata",
 ]
 
@@ -99,6 +101,36 @@ def fault_substream(seed: int, index: int) -> random.Random:
     """
     digest = hashlib.sha256(f"{seed}:{index}".encode("ascii")).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
+
+
+def prefixed_substreams(prefix: str) -> Callable[[int], random.Random]:
+    """Substream generator seeded with ``SHA-256(prefix + str(index))``.
+
+    The hot-loop form of an indexed seed schedule: ``index`` maps to a
+    :class:`random.Random` seeded exactly as ``random.Random(int.from_bytes(
+    sha256(prefix + str(index)).digest()[:8], "big"))`` would be, draw for
+    draw.  The prefix is hashed once and copied per index, and one
+    instance is re-seeded through the C-level ``_random.Random.seed``
+    (the Python wrapper only adds a ``str``/``bytes`` branch and resets
+    the ``gauss`` cache, which no caller reads).  The instance is
+    shared: exhaust its draws before asking for the next index.
+
+    ``prefixed_substreams(f"{seed}:")`` is :func:`fault_substream`'s
+    schedule; :func:`repro.streams.arrivals.substream_factory` adds a
+    purpose to the prefix.
+    """
+    prefix_copy = hashlib.sha256(prefix.encode("ascii")).copy
+    rng = random.Random()
+    reseed = _random.Random.seed
+    from_bytes = int.from_bytes
+
+    def substream(index: int) -> random.Random:
+        digest = prefix_copy()
+        digest.update(str(index).encode("ascii"))
+        reseed(rng, from_bytes(digest.digest()[:8], "big"))
+        return rng
+
+    return substream
 
 
 @dataclass(frozen=True)
@@ -1003,6 +1035,10 @@ class FaultCampaign:
         self._layout: Optional[
             Tuple[CampaignConfig, SamplingConfig, Tuple[str, ...]]
         ] = None
+        # fault_at()'s substream factory for the last seed it served
+        self._substreams: Optional[
+            Tuple[int, Callable[[int], random.Random]]
+        ] = None
 
     @property
     def policy(self) -> str:
@@ -1075,9 +1111,9 @@ class FaultCampaign:
         Everything else takes the exact path, at a cost of corrupted
         blocks times copies: a table row of ``None``, an SM-subset CCF, a
         subclass (which may override :meth:`~FaultDescriptor.effect_on`),
-        an SM the trace lacks (so :func:`apply_fault` raises), a NaN
-        permanent-fault onset (which corrupts every block on the SM but
-        bisects past them all), and any other descriptor.
+        an SM the trace lacks (so :func:`apply_fault` raises), and any
+        other descriptor.  NaN fault times never get here: the fault
+        types reject them at construction.
         """
         kind = type(fault)
         row: Optional[_Row] = None
@@ -1086,7 +1122,7 @@ class FaultCampaign:
                 row = _lookup(self._ccf_table, fault.time)
         elif kind is PermanentSMFault:
             table = self._perm_tables.get(fault.sm)
-            if table is not None and not math.isnan(fault.since):
+            if table is not None:
                 row = _lookup(table, fault.since)
         elif kind is SEUFault:
             table = self._seu_tables.get(fault.sm)
@@ -1211,7 +1247,7 @@ class FaultCampaign:
                 # once, not once per index
                 sampling.validate_support(config)
                 layout = self._layout = (config, sampling, sampling.block())
-            rng = fault_substream(config.seed, index)
+            rng = self._substream(config.seed, index)
             if sampling.method == "stratified":
                 block = layout[2]
                 kind = block[index % len(block)]
@@ -1224,7 +1260,7 @@ class FaultCampaign:
                 f"fault index {index} outside campaign population "
                 f"[0, {total})"
             )
-        rng = fault_substream(config.seed, index)
+        rng = self._substream(config.seed, index)
         if index < config.transient_ccf:
             kind = "ccf"
         elif index < config.transient_ccf + config.permanent_sm:
@@ -1232,6 +1268,14 @@ class FaultCampaign:
         else:
             kind = "seu"
         return self._build_fault(kind, rng, index, config.phase_quantum)
+
+    def _substream(self, seed: int, index: int) -> random.Random:
+        """``fault_substream(seed, index)`` from a per-seed factory."""
+        substreams = self._substreams
+        if substreams is None or substreams[0] != seed:
+            substreams = self._substreams = (
+                seed, prefixed_substreams(f"{seed}:"))
+        return substreams[1](index)
 
     def random_fault(self, rng: random.Random, *, transient_ccf: int = 1,
                      permanent_sm: int = 1, seu: int = 1,

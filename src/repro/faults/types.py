@@ -88,8 +88,10 @@ class TransientCCF(FaultDescriptor):
     phase_quantum: float = PHASE_QUANTUM
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise FaultInjectionError("fault time cannot be negative")
+        if not self.time >= 0:  # also false for NaN
+            raise FaultInjectionError(
+                f"fault time cannot be negative or NaN, got {self.time!r}"
+            )
         if self.work_per_block <= 0 or self.phase_quantum <= 0:
             raise FaultInjectionError("work/quantum must be positive")
 
@@ -135,8 +137,10 @@ class PermanentSMFault(FaultDescriptor):
     def __post_init__(self) -> None:
         if self.sm < 0:
             raise FaultInjectionError("SM id cannot be negative")
-        if self.since < 0:
-            raise FaultInjectionError("fault onset cannot be negative")
+        if not self.since >= 0:  # also false for NaN
+            raise FaultInjectionError(
+                f"fault onset cannot be negative or NaN, got {self.since!r}"
+            )
 
     def effect_on(self, record: TBRecord) -> Optional[Tuple]:
         """Deterministic corruption for blocks touching the faulty SM."""
@@ -175,8 +179,10 @@ class SEUFault(FaultDescriptor):
     def __post_init__(self) -> None:
         if self.sm < 0:
             raise FaultInjectionError("SM id cannot be negative")
-        if self.time < 0:
-            raise FaultInjectionError("fault time cannot be negative")
+        if not self.time >= 0:  # also false for NaN
+            raise FaultInjectionError(
+                f"fault time cannot be negative or NaN, got {self.time!r}"
+            )
 
     def effect_on(self, record: TBRecord) -> Optional[Tuple]:
         """Unique-signature corruption for the struck block.

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Tuple
 
+from repro import exec as execution
 from repro.errors import ConfigurationError
 from repro.gpu.scheduler.base import KernelScheduler
 from repro.gpu.scheduler.default import DefaultScheduler
@@ -42,6 +43,10 @@ def register_scheduler(name: str,
             :class:`KernelScheduler`.
         overwrite: allow replacing an existing registration.
 
+    Warm pool workers (:mod:`repro.exec`) were forked before the
+    registration and do not know it, so registering shuts the pool
+    down; the next pooled call forks workers that do.
+
     Raises:
         ConfigurationError: on duplicate names without ``overwrite``.
     """
@@ -50,6 +55,7 @@ def register_scheduler(name: str,
     if name in _REGISTRY and not overwrite:
         raise ConfigurationError(f"scheduler {name!r} already registered")
     _REGISTRY[name] = factory
+    execution.shutdown()
 
 
 def make_scheduler(name: str, **kwargs) -> KernelScheduler:

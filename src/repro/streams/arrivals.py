@@ -23,10 +23,12 @@ from __future__ import annotations
 
 import hashlib
 import random
-from concurrent.futures import Executor
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.api.stream import ArrivalSpec
+from repro.exec import run_tasks
+from repro.faults.campaign import prefixed_substreams
+from repro.obs.session import Telemetry
 
 __all__ = [
     "frame_substream",
@@ -43,11 +45,11 @@ def substream_factory(seed: int,
     The returned callable maps a frame index to a PRNG seeded with
     ``SHA-256(seed, purpose, index)`` — the exact seed schedule of
     :func:`frame_substream`, draw-for-draw identical.  It is the hot-loop
-    form: the ``"{seed}:{purpose}:"`` hash prefix is absorbed once into a
-    reusable :class:`hashlib.sha256` state, and a single
-    :class:`random.Random` instance is *re-seeded* per call instead of
-    allocated, which roughly halves the per-frame substream cost over
-    10^5-frame soaks.
+    form (:func:`repro.faults.campaign.prefixed_substreams`): the
+    ``"{seed}:{purpose}:"`` hash prefix is absorbed once into a reusable
+    :class:`hashlib.sha256` state, and a single :class:`random.Random`
+    instance is *re-seeded* per call instead of allocated, which roughly
+    halves the per-frame substream cost over 10^5-frame soaks.
 
     Because the instance is shared, each returned generator is only valid
     until the factory is called again — exhaust its draws before asking
@@ -63,19 +65,7 @@ def substream_factory(seed: int,
         A callable mapping ``index`` to the (shared, freshly re-seeded)
         substream PRNG.
     """
-    prefix = hashlib.sha256(f"{seed}:{purpose}:".encode("ascii"))
-    prefix_copy = prefix.copy
-    rng = random.Random()
-    reseed = rng.seed
-    from_bytes = int.from_bytes
-
-    def substream(index: int) -> random.Random:
-        digest = prefix_copy()
-        digest.update(str(index).encode("ascii"))
-        reseed(from_bytes(digest.digest()[:8], "big"))
-        return rng
-
-    return substream
+    return prefixed_substreams(f"{seed}:{purpose}:")
 
 
 def frame_substream(seed: int, purpose: str, index: int) -> random.Random:
@@ -102,9 +92,10 @@ def frame_substream(seed: int, purpose: str, index: int) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _arrival_chunk(spec: ArrivalSpec, seed: int,
-                   lo: int, hi: int) -> List[float]:
-    """Arrival values of frames ``[lo, hi)`` — a pure, pool-safe function.
+def _arrival_chunk(task: Tuple[ArrivalSpec, int, int, int],
+                   _telemetry: Optional[Telemetry]) -> List[float]:
+    """Arrival values of frames ``[lo, hi)`` of the task
+    ``(spec, seed, lo, hi)`` — a pure task function.
 
     Returns arrival *times* for the periodic and jittered models and raw
     inter-arrival *gaps* for the Poisson model (whose prefix sum is
@@ -113,12 +104,10 @@ def _arrival_chunk(spec: ArrivalSpec, seed: int,
     :func:`iter_arrivals` computes it — same substream, same expression —
     so chunk boundaries can never change a stream.
 
-    Args:
-        spec: the arrival process description.
-        seed: the stream's master seed.
-        lo: first frame index of the chunk (inclusive).
-        hi: last frame index of the chunk (exclusive).
+    The task holds the arrival process description, the stream's master
+    seed, and the chunk's first (inclusive) and last (exclusive) frame.
     """
+    spec, seed, lo, hi = task
     period = spec.period_ms
     if spec.model == "periodic":
         return [index * period for index in range(lo, hi)]
@@ -137,41 +126,43 @@ def _arrival_chunk(spec: ArrivalSpec, seed: int,
 
 
 def materialize_arrivals(spec: ArrivalSpec, seed: int, frames: int, *,
-                         pool: Optional[Executor] = None,
-                         chunks: int = 1) -> List[float]:
+                         workers: int = 1, chunks: int = 1,
+                         telemetry: Optional[Telemetry] = None
+                         ) -> List[float]:
     """The stream's first ``frames`` arrival times as a list.
 
     Bit-identical to ``islice(iter_arrivals(spec, seed), frames)`` — the
     values come from the same indexed substreams via the same arithmetic.
     Because frame ``i``'s randomness is independent of every other
     frame's, the per-frame work (dominated by one SHA-256 + Mersenne
-    Twister reseed for the jittered/Poisson models) can fan out over a
-    process pool; only the cheap Poisson prefix sum stays sequential.
+    Twister reseed for the jittered/Poisson models) can fan out over the
+    process pool of :func:`repro.exec.run_tasks`; only the cheap Poisson
+    prefix sum stays sequential.
 
     Args:
         spec: the arrival process description.
         seed: the stream's master seed.
         frames: number of arrival times to produce.
-        pool: optional executor for the per-chunk substream work
-            (``None`` computes in-process).
-        chunks: number of pool tasks to split the index range into
-            (ignored without a pool).
+        workers: process count for the per-chunk substream work (``1``
+            computes in-process).
+        chunks: number of tasks to split the index range into.
+        telemetry: optional session receiving the chunks' lifecycle
+            events.
 
     Returns:
         Non-decreasing arrival times, one per frame.
     """
-    if pool is None or chunks <= 1 or frames == 0:
-        parts = [_arrival_chunk(spec, seed, 0, frames)]
+    if workers <= 1 or chunks <= 1 or frames == 0:
+        parts = [_arrival_chunk((spec, seed, 0, frames), None)]
     else:
         step = -(-frames // chunks)  # ceil division
-        bounds = [
-            (lo, min(lo + step, frames)) for lo in range(0, frames, step)
-        ]
-        futures = [
-            pool.submit(_arrival_chunk, spec, seed, lo, hi)
-            for lo, hi in bounds
-        ]
-        parts = [future.result() for future in futures]
+        parts = list(run_tasks(
+            _arrival_chunk,
+            [(spec, seed, lo, min(lo + step, frames))
+             for lo in range(0, frames, step)],
+            keys=[f"arrivals-{i:03d}" for i in range(-(-frames // step))],
+            workers=workers, telemetry=telemetry,
+        ))
     if spec.model != "poisson":
         return [value for part in parts for value in part]
     out: List[float] = []

@@ -35,13 +35,13 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from itertools import islice
 from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.api.stats import RepeatSpec
 from repro.api.stream import StreamSpec
 from repro.errors import StatsError, StreamError
+from repro.exec import run_tasks
 from repro.faults.outcomes import FaultOutcome
 from repro.obs.session import NULL_TELEMETRY, Telemetry
 from repro.stats.intervals import RateEstimate
@@ -73,7 +73,7 @@ DEFAULT_CHUNK_FRAMES = 65536
 
 #: Minimum stream length before ``workers > 1`` fans the per-frame
 #: substream precomputation (arrival times, fault decision draws) out to
-#: a process pool.  Below this, pool start-up costs more than the
+#: the process pool.  Below this, pool dispatch costs more than the
 #: SHA-256 + Mersenne Twister reseeds it would parallelise.
 _PREDRAW_MIN_FRAMES = 16384
 
@@ -96,14 +96,17 @@ def _rebatched(source: Iterable[List[float]],
             yield batch[lo:lo + size]
 
 
-def _fault_uniform_chunk(seed: int, lo: int, hi: int) -> List[float]:
-    """First fault-substream uniform of frames ``[lo, hi)`` — pool-safe.
+def _fault_uniform_chunk(task: Tuple[int, int, int],
+                         _telemetry: Telemetry) -> List[float]:
+    """First fault-substream uniform of frames ``[lo, hi)`` of the task
+    ``(seed, lo, hi)`` — a pure task function.
 
     ``uniforms[i] < probability`` is exactly the fault-injection decision
     the frame loop would have drawn inline for frame ``lo + i``
     (substreams are indexed per frame, so precomputation cannot shift any
     other draw).
     """
+    seed, lo, hi = task
     sub = substream_factory(seed, "fault")
     return [sub(index).random() for index in range(lo, hi)]
 
@@ -223,7 +226,7 @@ def run_stream(spec: StreamSpec, *, workers: int = 1,
         return service, busy
 
     # workers > 1: fan the pure per-frame substream work (arrival times,
-    # fault decision uniforms) out to a process pool — frame i's draws
+    # fault decision uniforms) out to the process pool — frame i's draws
     # are an indexed pure function of (seed, i), so precomputation is
     # invisible to the report (the digest-equality tests prove it)
     fault_unis: Optional[List[float]] = None
@@ -231,22 +234,25 @@ def run_stream(spec: StreamSpec, *, workers: int = 1,
         spec.arrival.model != "periodic" or faults is not None
     )
     if predraw:
-        tasks = workers * 4
-        step = -(-spec.frames // tasks)  # ceil division
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            fault_futures = [
-                pool.submit(_fault_uniform_chunk, spec.seed, lo,
-                            min(lo + step, spec.frames))
-                for lo in range(0, spec.frames, step)
-            ] if faults is not None else []
-            arrival_source: Iterable[List[float]] = (materialize_arrivals(
-                spec.arrival, spec.seed, spec.frames,
-                pool=pool, chunks=tasks,
-            ),)
-            if fault_futures:
-                fault_unis = []
-                for future in fault_futures:
-                    fault_unis.extend(future.result())
+        chunks = workers * 4
+        arrival_source: Iterable[List[float]] = (materialize_arrivals(
+            spec.arrival, spec.seed, spec.frames,
+            workers=workers, chunks=chunks, telemetry=tm,
+        ),)
+        if faults is not None:
+            step = -(-spec.frames // chunks)  # ceil division
+            bounds = range(0, spec.frames, step)
+            fault_unis = [
+                value
+                for part in run_tasks(
+                    _fault_uniform_chunk,
+                    [(spec.seed, lo, min(lo + step, spec.frames))
+                     for lo in bounds],
+                    keys=[f"fault-draws-{i:03d}" for i in range(len(bounds))],
+                    workers=workers, telemetry=tm,
+                )
+                for value in part
+            ]
     else:
         arrival_source = _arrival_batches(spec, chunk_frames)
 

@@ -98,10 +98,9 @@ def _assert_same(campaign: FaultCampaign, fault: FaultDescriptor,
     assert campaign.classify(fault) == reference_classify(fault, trace), fault
 
 
-#: Fault times past the end of every trace (``nan`` compares false with
-#: every record time, so it must mask CCFs and SEUs and corrupt every
-#: block of a permanent fault's SM).
-_OUTSIDE = (math.inf, math.nan)
+#: A fault time past the end of every trace.  NaN times raise at
+#: construction (``test_nan_fault_times_raise``).
+_OUTSIDE = (math.inf,)
 
 
 def _faults_at(trace, t: float, fault_id: int, work_hint: float,
@@ -251,13 +250,17 @@ class TestOutcomeTables:
             for fault in _faults_at(trace, t, 0, 1000.0):
                 result = campaign.classify(fault)
                 assert result == reference_classify(fault, trace), fault
-                if not (isinstance(fault, PermanentSMFault)
-                        and math.isnan(t)):
-                    assert result.outcome is FaultOutcome.MASKED, fault
-        # no block ends at or before a NaN onset: the whole SM is hit
-        nan_onset = PermanentSMFault(sm=0, fault_id=1, since=math.nan)
-        assert (campaign.classify(nan_onset).corrupted_blocks
-                == len(trace.blocks_on_sm(0)))
+                assert result.outcome is FaultOutcome.MASKED, fault
+
+    def test_nan_fault_times_raise(self):
+        # a NaN onset would corrupt every block on the SM (no block ends
+        # at or before it), so each fault kind refuses it outright
+        with pytest.raises(FaultInjectionError, match="NaN"):
+            TransientCCF(time=math.nan, fault_id=0)
+        with pytest.raises(FaultInjectionError, match="NaN"):
+            SEUFault(sm=0, time=math.nan, fault_id=0)
+        with pytest.raises(FaultInjectionError, match="NaN"):
+            PermanentSMFault(sm=0, fault_id=0, since=math.nan)
 
     def test_seus_on_idle_sms(self):
         # myocyte's 4 blocks leave SMs of the 6-SM GPU without any work

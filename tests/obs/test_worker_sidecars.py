@@ -6,11 +6,16 @@ from pathlib import Path
 
 from repro.api import (
     CampaignSpec,
+    DeviceSpec,
     FaultPlanSpec,
+    PlacementSpec,
+    PlatformSpec,
     RunSpec,
+    StreamSpec,
     WorkloadSpec,
 )
 from repro.campaigns import run_campaign
+from repro.platform import run_platform
 from repro.obs import (
     JsonlSink,
     MemorySink,
@@ -189,3 +194,27 @@ class TestPooledCampaignCapture:
         execute = next(n for n in build_spans(events)
                        if n.name == "execute")
         assert [c.name for c in execute.children] == ["shard"] * 4
+
+
+class TestPooledPlatformCapture:
+    def test_device_sidecars_are_merged_and_removed(self, tmp_path):
+        spec = PlatformSpec(
+            devices=(DeviceSpec(name="gpu0"),
+                     DeviceSpec(name="gpu1", preset="pcie4-discrete")),
+            tasks=(StreamSpec.for_task("camera-perception", frames=150),
+                   StreamSpec.for_task("radar-cfar", frames=150)),
+            placement=PlacementSpec(policy="balanced"),
+        )
+        log = tmp_path / "t.jsonl"
+        telemetry = Telemetry.create(path=log)
+        run_platform(spec, workers=2, telemetry=telemetry)
+        telemetry.close()
+        events = read_telemetry(log)
+        assert validate_events(events) == []
+        # the merge runs after the last device result, not only when
+        # the caller asks for one more
+        assert not (tmp_path / "t.jsonl.workers").exists()
+        device_spans = [e for e in events if e["type"] == "span_start"
+                        and e["data"].get("name") == "device"]
+        assert {e["data"]["worker"] for e in device_spans} == {
+            "device-gpu0", "device-gpu1"}

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -283,3 +284,59 @@ class TestMain:
             payload = json.loads(path.read_text())
             failures, _ = bench_compare.compare_artifacts(payload, payload)
             assert failures == []
+
+
+class TestOversubscribedLegs:
+    """A speedup leg with more workers than recorded CPUs is not gated."""
+
+    def _env(self, cpus):
+        return {"python_version": "3.11.7", "platform": "Linux-x",
+                "cpu_count": cpus}
+
+    def test_speedup_beyond_the_cores_only_warns(self):
+        base = _artifact({"w4": {"workers": 4, "speedup_vs_w1": 2.3}},
+                         environment=self._env(2))
+        cur = _artifact({"w4": {"workers": 4, "speedup_vs_w1": 1.2}},
+                        environment=self._env(2))
+        failures, warnings = bench_compare.compare_artifacts(base, cur)
+        assert failures == []
+        assert any("4 workers on 2 recorded CPUs" in w for w in warnings)
+
+    def test_the_smaller_recorded_core_count_decides(self):
+        base = _artifact({"w4": {"workers": 4, "speedup_vs_w1": 2.3}},
+                         environment=self._env(2))
+        cur = _artifact({"w4": {"workers": 4, "speedup_vs_w1": 1.2}},
+                        environment=self._env(8))
+        failures, _ = bench_compare.compare_artifacts(base, cur)
+        assert failures == []
+
+    def test_speedup_within_the_cores_is_still_gated(self):
+        base = _artifact({"w2": {"workers": 2, "speedup_vs_w1": 2.0}},
+                         environment=self._env(2))
+        cur = _artifact({"w2": {"workers": 2, "speedup_vs_w1": 1.2}},
+                        environment=self._env(2))
+        failures, _ = bench_compare.compare_artifacts(base, cur)
+        assert len(failures) == 1
+
+    def test_throughput_of_an_oversubscribed_leg_is_still_gated(self):
+        base = _artifact({"w4": {"workers": 4, "injections_per_sec": 100}},
+                         environment=self._env(2))
+        cur = _artifact({"w4": {"workers": 4, "injections_per_sec": 50}},
+                        environment=self._env(2))
+        failures, _ = bench_compare.compare_artifacts(base, cur)
+        assert len(failures) == 1
+
+    def test_no_recorded_cores_keeps_the_gate(self):
+        base = _artifact({"w4": {"workers": 4, "speedup_vs_w1": 2.3}})
+        cur = _artifact({"w4": {"workers": 4, "speedup_vs_w1": 1.2}})
+        failures, _ = bench_compare.compare_artifacts(base, cur)
+        assert len(failures) == 1
+
+
+def test_bench_artifacts_record_the_cpu_count():
+    path = Path(__file__).resolve().parents[2] / "benchmarks" / \
+        "_bench_artifacts.py"
+    spec = importlib.util.spec_from_file_location("_bench_artifacts", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.environment_metadata()["cpu_count"] == os.cpu_count()

@@ -15,7 +15,10 @@ metric-aware:
   tolerance (default 20%, the contract from ROADMAP item 5); a larger
   drop **fails** the gate, improvements always pass;
 * **speedup ratios** (``speedup*``) get a wider tolerance (default 35%)
-  — a ratio of two measured walls is noisier than either wall;
+  — a ratio of two measured walls is noisier than either wall.  A leg
+  whose ``workers`` exceed the CPUs either artifact recorded
+  (``environment.cpu_count``) is not gated at all, only warned about:
+  its speedup measures oversubscription, not scaling;
 * **wall-clock metrics** (``*_s``) only **warn**: the throughput gate
   already covers sustained slowdowns, and double-gating raw walls makes
   the job flap on loaded runners;
@@ -136,6 +139,9 @@ def compare_artifacts(baseline: Dict[str, object],
             " — timing comparisons cross machines/interpreters"
         )
 
+    cores = [env["cpu_count"] for env in (base_env, cur_env)
+             if isinstance(env, dict)
+             and isinstance(env.get("cpu_count"), int)]
     base_scenarios = baseline.get("scenarios", {})
     cur_scenarios = current.get("scenarios", {})
     for name in sorted(set(base_scenarios) - set(cur_scenarios)):
@@ -146,6 +152,9 @@ def compare_artifacts(baseline: Dict[str, object],
     for scenario in sorted(set(base_scenarios) & set(cur_scenarios)):
         base_metrics = base_scenarios[scenario]
         cur_metrics = cur_scenarios[scenario]
+        workers = cur_metrics.get("workers")
+        oversubscribed = (cores and isinstance(workers, int)
+                          and workers > min(cores))
         for metric in sorted(set(base_metrics) - set(cur_metrics)):
             warnings.append(f"{scenario}.{metric}: missing from current")
         for metric in sorted(set(cur_metrics) - set(base_metrics)):
@@ -171,7 +180,12 @@ def compare_artifacts(baseline: Dict[str, object],
             numeric = isinstance(old, (int, float)) and isinstance(
                 new, (int, float)
             ) and not isinstance(old, bool) and not isinstance(new, bool)
-            if kind in ("throughput", "ratio") and numeric:
+            if kind == "ratio" and numeric and oversubscribed:
+                warnings.append(
+                    f"{scenario}.{metric}: not gated — {workers} workers "
+                    f"on {min(cores)} recorded CPUs"
+                )
+            elif kind in ("throughput", "ratio") and numeric:
                 tol = tolerance if kind == "throughput" else ratio_tolerance
                 if old > 0 and new < old * (1.0 - tol):
                     failures.append(
